@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import metrics
 from .dataio import (
@@ -33,6 +32,7 @@ from .detector import (
     AffConfig,
     DetectorModel,
     FitConfig,
+    classify_batch,
     fit,
     fit_with_internal_split,
     grid_search,
@@ -229,15 +229,11 @@ def _config_document(cfg: FitConfig) -> dict:
     }
 
 
-def _median_sigma(features: np.ndarray, standardize: bool, seed: int) -> float:
-    """Default bandwidth: median pairwise distance in the fitted space."""
-    if standardize:
-        shift, scale = fit_standardizer(features)
-        features = apply_standardizer(features, shift, scale)
-    return default_sigma_grid(features, seed=seed)[2]
-
-
 def _default_grid(features: np.ndarray, standardize: bool, seed: int) -> list[float]:
+    """Bandwidth grid around the median pairwise distance in the fitted space.
+
+    Its middle entry, ``[2]``, is the median itself: the default sigma.
+    """
     if standardize:
         shift, scale = fit_standardizer(features)
         features = apply_standardizer(features, shift, scale)
@@ -284,16 +280,13 @@ def cmd_fit(args) -> int:
         rate = ds.anomaly_rate
     sigma = settings["sigma"]
     if sigma is None:
-        sigma = _median_sigma(train, settings["standardize"], settings["seed"])
+        sigma = _default_grid(train, settings["standardize"], settings["seed"])[2]
     cfg = _fit_config(settings, sigma)
 
     t0 = time.perf_counter()
-    model = fit(train, val, rate, cfg)
+    model, val_densities = fit(train, val, rate, cfg)
+    val_pred = classify_batch(val_densities, model.theta)
     timings["fit"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    val_pred, val_densities = predict_batch(model, val)
-    timings["score"] = (time.perf_counter() - t0) * 1e3
 
     out = Path(args.out)
     save_model(model, out)
@@ -366,6 +359,10 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
 
 
 def _oracle_comparison(model: DetectorModel, train, val, test, pred, densities) -> dict:
+    # Imported here: scipy.stats costs about a second to import, and only
+    # ``eval --oracle`` needs it.
+    from scipy.stats import spearmanr
+
     if model.shift is not None:
         train = apply_standardizer(train, model.shift, model.scale)
         val = apply_standardizer(val, model.shift, model.scale)

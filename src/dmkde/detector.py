@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .dataio import apply_standardizer, fit_standardizer
-from .density import DensityMatrix, build_density_matrix, estimate_density, estimate_density_batch
+from .density import DensityMatrix, build_density_matrix, estimate_density_batch
 from .embedding import AffConfig, EmbeddingParams, embed, sample_rff_params, train_aff
 from .errors import InsufficientDataError, InvalidArgumentError
 from .rng import DOMAIN_REFIT_SPLIT, stream
@@ -112,7 +112,12 @@ def compute_threshold(val_densities, anomaly_rate: float) -> float:
 
 def classify(density: float, theta: float) -> int:
     """0 (normal) when density >= theta, else 1 (anomaly)."""
-    return NORMAL if density >= theta else ANOMALY
+    return int(classify_batch([density], theta)[0])
+
+
+def classify_batch(densities, theta: float) -> np.ndarray:
+    """Label of each density: 0 (normal) when it is >= theta, else 1 (anomaly)."""
+    return np.where(np.asarray(densities) >= theta, NORMAL, ANOMALY).astype(np.int64)
 
 
 def _prepare_features(x, d: int | None = None) -> np.ndarray:
@@ -127,7 +132,8 @@ def _prepare_features(x, d: int | None = None) -> np.ndarray:
     return x
 
 
-def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float, cfg: FitConfig) -> DetectorModel:
+def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
+        cfg: FitConfig) -> tuple[DetectorModel, np.ndarray]:
     """Fit the full pipeline on unlabeled train/val feature matrices.
 
     Stages, in order: fit standardization on train (if enabled) and apply
@@ -135,6 +141,10 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float, cfg: FitConfig)
     them adaptively when ``cfg.use_aff``; embed the training rows and
     average their outer products; estimate validation densities; set the
     threshold at the ``anomaly_rate`` quantile.
+
+    Returns ``(model, val_densities)``.  The densities are bit-identical
+    to ``predict_batch(model, val)[1]``, so callers need not score
+    ``val`` again.
     """
     train = _prepare_features(train)
     if train.shape[0] == 0:
@@ -158,28 +168,32 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float, cfg: FitConfig)
     dm = build_density_matrix(embed(params, train))
     val_densities = estimate_density_batch(dm, embed(params, val))
     theta = compute_threshold(val_densities, anomaly_rate)
-    return DetectorModel(params, dm, theta, float(anomaly_rate), bool(cfg.use_aff), shift, scale)
+    model = DetectorModel(params, dm, theta, float(anomaly_rate), bool(cfg.use_aff), shift, scale)
+    return model, val_densities
 
 
-def score(model: DetectorModel, x: np.ndarray) -> float:
-    """Density of one sample under the fitted model (threshold-free)."""
+def _one_row(model: DetectorModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
         raise InvalidArgumentError(
             f"expected a vector of length {model.input_dim}, got shape {x.shape}"
         )
-    if model.shift is not None:
-        x = (x - model.shift) / model.scale
-    return estimate_density(model.dm, embed(model.embedding, x))
+    return x[np.newaxis]
+
+
+def score(model: DetectorModel, x: np.ndarray) -> float:
+    """Density of one sample under the fitted model (threshold-free)."""
+    return float(score_batch(model, _one_row(model, x))[0])
 
 
 def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
     """(label, density) for one sample."""
-    density = score(model, x)
-    return classify(density, model.theta), density
+    labels, densities = predict_batch(model, _one_row(model, x))
+    return int(labels[0]), float(densities[0])
 
 
 def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
+    """Density of each row of ``x`` under the fitted model (threshold-free)."""
     x = _prepare_features(x, model.input_dim)
     if model.shift is not None:
         x = apply_standardizer(x, model.shift, model.scale)
@@ -189,8 +203,7 @@ def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
 def predict_batch(model: DetectorModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, densities) for each row of ``x``."""
     densities = score_batch(model, x)
-    labels = np.where(densities >= model.theta, NORMAL, ANOMALY).astype(np.int64)
-    return labels, densities
+    return classify_batch(densities, model.theta), densities
 
 
 def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
@@ -219,8 +232,8 @@ def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
     for sigma, embed_dim, use_aff in product(sigmas, embed_dims, use_aff_options):
         cfg = FitConfig(sigma=sigma, embed_dim=embed_dim, use_aff=use_aff,
                         aff=aff or AffConfig(), seed=seed, standardize=standardize)
-        model = fit(train, val, anomaly_rate, cfg)
-        pred, _ = predict_batch(model, val)
+        model, val_densities = fit(train, val, anomaly_rate, cfg)
+        pred = classify_batch(val_densities, model.theta)
         row = {
             "sigma": float(sigma),
             "embed_dim": int(embed_dim),
@@ -255,4 +268,5 @@ def fit_with_internal_split(features: np.ndarray, anomaly_rate: float, cfg: FitC
     n_val = min(max(1, int(math.floor(val_frac * m + 0.5))), m - 1)
     val = features[perm[:n_val]]
     train = features[perm[n_val:]]
-    return fit(train, val, anomaly_rate, cfg)
+    model, _ = fit(train, val, anomaly_rate, cfg)
+    return model

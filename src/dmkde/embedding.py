@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateEmbeddingError, InsufficientDataError, InvalidArgumentError
 from .rng import (
@@ -312,6 +311,9 @@ def default_sigma_grid(features: np.ndarray, subset_size: int = 1000, seed: int 
     if features.shape[0] > subset_size:
         idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(features.shape[0], subset_size, replace=False)
         features = features[np.sort(idx)]
+    # Imported here so that commands given a sigma never import scipy.spatial.
+    from scipy.spatial.distance import pdist
+
     median = float(np.median(pdist(features)))
     if median <= 0.0:
         median = 1.0

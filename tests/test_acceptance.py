@@ -144,7 +144,7 @@ def test_criterion_5_threshold_calibration(capsys, two_cluster_dataset):
     m = len(val)
     worst = 0.0
     for rate in (0.02, 0.1, 0.3):
-        model = dmkde.fit(train, val, rate, dmkde.FitConfig(sigma=1.0, embed_dim=256, seed=1))
+        model, _ = dmkde.fit(train, val, rate, dmkde.FitConfig(sigma=1.0, embed_dim=256, seed=1))
         _, densities = dmkde.predict_batch(model, val)
         frac = float(np.mean(densities < model.theta))
         worst = max(worst, abs(frac - rate) - 1.0 / m)
@@ -164,7 +164,7 @@ def test_criterion_6_end_to_end_benchmark(capsys, two_cluster_dataset):
     grid = dmkde.default_sigma_grid(dmkde.apply_standardizer(train, shift, scale))
     best_cfg, _ = dmkde.grid_search(train, val, ds.labels[split.val], rate,
                                     grid, [4096], seed=1)
-    model = dmkde.fit(train, val, rate, best_cfg)
+    model, _ = dmkde.fit(train, val, rate, best_cfg)
     pred, densities = dmkde.predict_batch(model, test)
     f1w = dmkde.f1_weighted(ds.labels[split.test], pred)
 
@@ -239,8 +239,8 @@ def test_criterion_9_determinism_and_serialization(capsys, tmp_path, two_cluster
     for seed in range(5):
         split = dmkde.stratified_split(ds, seed=seed)
         cfg = dmkde.FitConfig(sigma=1.0, embed_dim=64, seed=seed)
-        model = dmkde.fit(ds.features[split.train], ds.features[split.val],
-                          ds.anomaly_rate, cfg)
+        model, _ = dmkde.fit(ds.features[split.train], ds.features[split.val],
+                             ds.anomaly_rate, cfg)
         direct, _, _, _ = evaluate_model(model, ds, seed)
         path = tmp_path / f"model_{seed}.json"
         dmkde.save_model(model, path)

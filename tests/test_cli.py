@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmkde
 from dmkde import f1_weighted, load_csv, load_model
 from dmkde.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 
@@ -244,3 +249,16 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["fit", "--bogus"]) == EXIT_USAGE
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats and scipy.spatial take about a second to import; only
+    # ``eval --oracle`` and the default sigma grid use them, so they load lazily.
+    src = str(Path(dmkde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    code = ("import sys, dmkde.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkde import (
     DensityMatrix,
@@ -11,7 +13,13 @@ from dmkde import (
     merge_density_matrices,
     qde_bruteforce,
 )
+from dmkde.density import _SCORE_CHUNK
 from tests.conftest import random_unit_vectors
+
+# Row counts around the kernel's block size: empty, one and two rows, and a
+# last block that is one row short, full, or a single row.
+KERNEL_ROW_COUNTS = (0, 1, 2, _SCORE_CHUNK - 1, _SCORE_CHUNK, _SCORE_CHUNK + 1,
+                     2 * _SCORE_CHUNK + 1)
 
 
 class TestBuild:
@@ -134,6 +142,52 @@ class TestEstimateBatch:
         batch = estimate_density_batch(dm, queries)
         single = np.array([estimate_density(dm, q) for q in queries])
         assert np.array_equal(batch, single)
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from(KERNEL_ROW_COUNTS), dim=st.integers(1, 64),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batch_matches_singles_splits_and_oracle(self, m, dim, n, seed, data):
+        rng = np.random.default_rng(seed)
+        phis = random_unit_vectors(rng, n, dim)
+        dm = build_density_matrix(phis)
+        queries = random_unit_vectors(rng, m, dim)
+        batch = estimate_density_batch(dm, queries)
+        assert batch.shape == (m,)
+
+        single = np.array([estimate_density(dm, q) for q in queries], dtype=np.float64)
+        assert np.array_equal(batch, single)
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=4)))
+        bounds = [0, *cuts, m]
+        parts = [estimate_density_batch(dm, queries[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), batch)
+
+        for q, value in zip(queries, batch):
+            assert abs(value - qde_bruteforce(phis, q)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [255, 511, 700])
+    def test_partial_tiles_bit_stable_at_wide_odd_dims(self, dim):
+        # At these widths OpenBLAS rounds a row in a partial tile differently,
+        # so a row's density changed with its position until D was padded.
+        rng = np.random.default_rng(dim)
+        dm = build_density_matrix(random_unit_vectors(rng, 40, dim))
+        queries = random_unit_vectors(rng, 200, dim)
+        batch = estimate_density_batch(dm, queries)
+        for cut in (1, 3, 8, 60):
+            parts = [estimate_density_batch(dm, queries[:cut]),
+                     estimate_density_batch(dm, queries[cut:])]
+            assert np.array_equal(np.concatenate(parts), batch)
+        for i in (0, 5, 120, 127, 199):
+            assert estimate_density(dm, queries[i]) == batch[i]
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from(KERNEL_ROW_COUNTS), dim=st.integers(1, 64))
+    def test_wrong_width_rejected(self, m, dim):
+        dm = build_density_matrix(np.eye(dim)[:1])
+        with pytest.raises(InvalidArgumentError):
+            estimate_density_batch(dm, np.zeros((m, dim + 1)))
 
 
 def test_no_per_sample_storage():

@@ -89,31 +89,31 @@ class TestFit:
         g = stream(2, 42)
         pts = g.normal(size=(200, 2))
         fresh = g.normal(size=(200, 2))
-        model = fit(pts, pts, 0.05, FitConfig(sigma=2.0, embed_dim=512, seed=2))
+        model, _ = fit(pts, pts, 0.05, FitConfig(sigma=2.0, embed_dim=512, seed=2))
         labels, _ = predict_batch(model, fresh)
         assert 8 <= int(labels.sum()) <= 12
 
     def test_deterministic_given_seed(self):
         pts = gaussian_points(3, 120)
         cfg = FitConfig(sigma=1.5, embed_dim=64, seed=7)
-        a = fit(pts[:80], pts[80:], 0.1, cfg)
-        b = fit(pts[:80], pts[80:], 0.1, cfg)
+        a, _ = fit(pts[:80], pts[80:], 0.1, cfg)
+        b, _ = fit(pts[:80], pts[80:], 0.1, cfg)
         assert np.array_equal(a.embedding.weights, b.embedding.weights)
         assert np.array_equal(a.dm.matrix, b.dm.matrix)
         assert a.theta == b.theta
 
     def test_rate_zero_flags_nothing(self):
         pts = gaussian_points(4, 60)
-        model = fit(pts[:40], pts[40:], 0.0, FitConfig(sigma=1.0, embed_dim=32, seed=0))
+        model, _ = fit(pts[:40], pts[40:], 0.0, FitConfig(sigma=1.0, embed_dim=32, seed=0))
         assert model.theta == float("-inf")
         labels, _ = predict_batch(model, gaussian_points(5, 30))
         assert labels.sum() == 0
 
     def test_standardization_recorded(self):
         pts = gaussian_points(6, 80) * 10 + 3
-        on = fit(pts[:60], pts[60:], 0.1, FitConfig(sigma=1.0, embed_dim=16, seed=0))
-        off = fit(pts[:60], pts[60:], 0.1,
-                  FitConfig(sigma=1.0, embed_dim=16, seed=0, standardize=False))
+        on, _ = fit(pts[:60], pts[60:], 0.1, FitConfig(sigma=1.0, embed_dim=16, seed=0))
+        off, _ = fit(pts[:60], pts[60:], 0.1,
+                     FitConfig(sigma=1.0, embed_dim=16, seed=0, standardize=False))
         assert on.shift is not None and on.scale is not None
         assert off.shift is None and off.scale is None
 
@@ -122,10 +122,19 @@ class TestFit:
         train, val = pts[:200], pts[200:]
         m = len(val)
         for rate in (0.02, 0.1, 0.3):
-            model = fit(train, val, rate, FitConfig(sigma=1.5, embed_dim=256, seed=1))
+            model, _ = fit(train, val, rate, FitConfig(sigma=1.5, embed_dim=256, seed=1))
             _, densities = predict_batch(model, val)
             frac = float(np.mean(densities < model.theta))
             assert abs(frac - rate) <= 1.0 / m + 1e-12
+
+    def test_val_densities_match_rescoring(self):
+        # Callers reuse these instead of scoring val again.  embed_dim 100
+        # is not a multiple of the scoring kernel's padding.
+        pts = gaussian_points(14, 150)
+        model, val_densities = fit(pts[:100], pts[100:], 0.1,
+                                   FitConfig(sigma=1.0, embed_dim=100, seed=3))
+        _, densities = predict_batch(model, pts[100:])
+        assert np.array_equal(val_densities, densities)
 
     def test_empty_sets_rejected(self):
         pts = gaussian_points(9, 10)
@@ -139,15 +148,16 @@ class TestFit:
         cfg = FitConfig(sigma=1.0, embed_dim=32, use_aff=True,
                         aff=AffConfig(num_pairs=200, epochs=30, learning_rate=0.05, seed=3),
                         seed=3)
-        a = fit(pts[:70], pts[70:], 0.1, cfg)
-        b = fit(pts[:70], pts[70:], 0.1, cfg)
+        a, _ = fit(pts[:70], pts[70:], 0.1, cfg)
+        b, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         assert a.use_aff and np.array_equal(a.embedding.weights, b.embedding.weights)
 
 
 @pytest.fixture(scope="module")
 def model():
     pts = gaussian_points(5, 300)
-    return fit(pts, pts, 0.05, FitConfig(sigma=1.0, embed_dim=512, seed=5))
+    model, _ = fit(pts, pts, 0.05, FitConfig(sigma=1.0, embed_dim=512, seed=5))
+    return model
 
 
 class TestPredict:
@@ -163,7 +173,7 @@ class TestPredict:
 
     def test_minus_inf_threshold_normal_everywhere(self):
         pts = gaussian_points(7, 60)
-        model = fit(pts[:40], pts[40:], 0.0, FitConfig(sigma=1.0, embed_dim=32, seed=0))
+        model, _ = fit(pts[:40], pts[40:], 0.0, FitConfig(sigma=1.0, embed_dim=32, seed=0))
         assert predict(model, np.full(2, 50.0))[0] == 0
 
     def test_dimension_mismatch(self, model):
@@ -175,7 +185,7 @@ class TestPredict:
         x = np.array([0.3, -0.2])
         scores = []
         for rate in (0.02, 0.5):
-            model = fit(pts[:100], pts[100:], rate, FitConfig(sigma=1.0, embed_dim=64, seed=2))
+            model, _ = fit(pts[:100], pts[100:], rate, FitConfig(sigma=1.0, embed_dim=64, seed=2))
             scores.append(score(model, x))
         assert scores[0] == scores[1]
 
@@ -213,7 +223,7 @@ class TestGridSearch:
     def test_selected_config_scores_well(self, dataset):
         train, val, labels, rate = dataset
         best, _ = grid_search(train, val, labels, rate, [0.25, 0.5, 1.0, 2.0], [512], seed=1)
-        model = fit(train, val, rate, best)
+        model, _ = fit(train, val, rate, best)
         pred, _ = predict_batch(model, val)
         assert f1_weighted(labels, pred) >= 0.9
 

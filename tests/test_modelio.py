@@ -11,7 +11,8 @@ from dmkde.rng import stream
 def make_model(seed=0, rate=0.1, standardize=True):
     pts = stream(seed, 99).normal(size=(120, 3))
     cfg = FitConfig(sigma=1.2, embed_dim=32, seed=seed, standardize=standardize)
-    return fit(pts[:80], pts[80:], rate, cfg)
+    model, _ = fit(pts[:80], pts[80:], rate, cfg)
+    return model
 
 
 class TestRoundTrip:
