@@ -48,7 +48,12 @@ class FitConfig:
 
 @dataclass
 class DetectorModel:
-    """Deployable artifact: embedding, density matrix, threshold, rate."""
+    """Deployable artifact: embedding, density matrix, threshold, rate.
+
+    ``use_aff`` is true only when adaptive training actually refined the
+    embedding; a fit that asked for AFF but fell back to the random
+    features records false.
+    """
 
     embedding: EmbeddingParams
     dm: DensityMatrix
@@ -138,7 +143,8 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
 
     Stages, in order: fit standardization on train (if enabled) and apply
     it to both sets; sample Fourier parameters from ``cfg.seed``; refine
-    them adaptively when ``cfg.use_aff``; embed the training rows and
+    them adaptively when ``cfg.use_aff`` (the model records whether that
+    changed them); embed the training rows and
     average their outer products; estimate validation densities; set the
     threshold at the ``anomaly_rate`` quantile.
 
@@ -162,13 +168,17 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
         val = apply_standardizer(val, shift, scale)
 
     params = sample_rff_params(train.shape[1], cfg.embed_dim, cfg.sigma, cfg.seed)
+    used_aff = False
     if cfg.use_aff:
-        params = train_aff(params, train, cfg.aff)
+        refined = train_aff(params, train, cfg.aff)
+        # train_aff hands back its input when training is off or fell back.
+        used_aff = refined is not params
+        params = refined
 
     dm = build_density_matrix(embed(params, train))
     val_densities = estimate_density_batch(dm, embed(params, val))
     theta = compute_threshold(val_densities, anomaly_rate)
-    model = DetectorModel(params, dm, theta, float(anomaly_rate), bool(cfg.use_aff), shift, scale)
+    model = DetectorModel(params, dm, theta, float(anomaly_rate), used_aff, shift, scale)
     return model, val_densities
 
 

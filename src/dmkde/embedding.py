@@ -31,10 +31,13 @@ from .rng import (
 
 _TWO_PI = 2.0 * np.pi
 
-# Pairs processed per chunk when accumulating the AFF loss/gradient;
-# bounds peak memory at ~6 * chunk * D doubles without changing results
-# beyond float addition order.
-_PAIR_CHUNK = 4096
+# Rows per block in :func:`embed` and in the AFF kernel.  A block of 128
+# rows and D features holds 1 MiB at D=1024.  Embedding pads every block
+# to this many rows and its width to a multiple of _LANES, so each GEMM has
+# one shape made of whole tiles and a row's result does not depend on the
+# batch it sits in (OpenBLAS sends one row to GEMV, which rounds differently).
+_BLOCK = 128
+_LANES = 8
 
 
 @dataclass
@@ -140,15 +143,45 @@ def _check_inputs(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
+    """Cosine features of ``x``, one zero-padded block of rows at a time.
+
+    Every GEMM is ``(_BLOCK, d) @ (d, W)`` with W the embedding width
+    rounded up to a multiple of ``_LANES``.  OpenBLAS rounds a partial
+    column tile differently by row position, so without that padding a
+    row's phase could change with its place in the block.
+    """
+    x = _check_inputs(params, x)
+    rows = np.atleast_2d(x)
+    m = rows.shape[0]
+    dim = params.embed_dim
+    width = -(-dim // _LANES) * _LANES
+    weights_t = np.zeros((params.input_dim, width))
+    weights_t[:, :dim] = params.weights.T
+    scale = np.sqrt(2.0 / dim)
+    block = np.zeros((_BLOCK, params.input_dim))
+    out = np.empty((m, dim))
+    for start in range(0, m, _BLOCK):
+        count = min(_BLOCK, m - start)
+        block[:count] = rows[start:start + count]
+        block[count:] = 0.0
+        raw = (block @ weights_t)[:count, :dim]
+        raw += params.offsets
+        np.cos(raw, out=raw)
+        raw *= scale
+        # Only real rows are normalized: padding rows are never checked.
+        out[start:start + count] = _normalize_rows(raw) if normalize else raw
+    return out if x.ndim == 2 else out[0]
+
+
 def embed_raw(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     """Raw cosine features ``sqrt(2/D) * cos(W x + b)``.
 
     Accepts a single vector of length ``input_dim`` or a matrix with one
     sample per row; the output matches (length ``embed_dim`` per sample).
+    Each row's result is bit-identical whatever batch it is embedded in.
     """
-    x = _check_inputs(params, x)
-    scale = np.sqrt(2.0 / params.embed_dim)
-    return scale * np.cos(x @ params.weights.T + params.offsets)
+    return _embed_rows(params, x, normalize=False)
 
 
 def _normalize_rows(raw: np.ndarray) -> np.ndarray:
@@ -159,8 +192,12 @@ def _normalize_rows(raw: np.ndarray) -> np.ndarray:
 
 
 def embed(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
-    """Unit-normalized embedding of ``x`` (single vector or rows)."""
-    return _normalize_rows(embed_raw(params, x))
+    """Unit-normalized embedding of ``x`` (single vector or rows).
+
+    Row-stable like :func:`embed_raw`: a sample embedded alone equals its
+    row of any batch, bit for bit.
+    """
+    return _embed_rows(params, x, normalize=True)
 
 
 def gaussian_kernel(x, y, sigma: float):
@@ -170,38 +207,143 @@ def gaussian_kernel(x, y, sigma: float):
     return np.exp(-sq / (2.0 * float(sigma) ** 2))
 
 
+@dataclass(frozen=True)
+class _PairSet:
+    """Sample pairs as indices into the distinct rows they touch.
+
+    Pair ``p`` joins ``rows[left[p]]`` and ``rows[right[p]]`` and should
+    have kernel value ``targets[p]``.  Each pair has two ends; ``owner``
+    lists the row of every end in ascending order, ``partner`` the row at
+    the other end of the same pair and ``pair`` the pair itself.
+    ``block_ends[k]`` is the first end owned by a row at or after
+    ``k * _BLOCK``.
+    """
+
+    rows: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    targets: np.ndarray
+    owner: np.ndarray
+    partner: np.ndarray
+    pair: np.ndarray
+    block_ends: np.ndarray
+
+
+def _pair_set(rows, left, right, targets) -> _PairSet:
+    """Index the pair ends by owning row, once for every later kernel call."""
+    n_pairs = left.shape[0]
+    owner = np.concatenate([left, right])
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    block_starts = np.arange(0, rows.shape[0] + _BLOCK, _BLOCK)
+    return _PairSet(
+        rows=rows,
+        left=left,
+        right=right,
+        targets=targets,
+        owner=owner,
+        partner=np.concatenate([right, left])[order],
+        pair=np.tile(np.arange(n_pairs), 2)[order],
+        block_ends=np.searchsorted(owner, block_starts),
+    )
+
+
+def _sampled_pair_set(features, i, j, sigma) -> _PairSet:
+    """Pairs ``(features[i[p]], features[j[p]])`` over the rows they use."""
+    n_pairs = i.shape[0]
+    used, inverse = np.unique(np.concatenate([i, j]), return_inverse=True)
+    targets = gaussian_kernel(features[i], features[j], sigma)
+    return _pair_set(features[used], inverse[:n_pairs], inverse[n_pairs:], targets)
+
+
+def _phase(weights, offsets, rows) -> np.ndarray:
+    phase = rows @ weights.T
+    phase += offsets
+    return phase
+
+
+def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
+    """Kernel-matching MSE (and gradient) over a prepared pair set.
+
+    With ``C = cos(rows W^T + b)`` computed once per distinct row, pair p
+    has Gram value ``(2/D) C[left_p] . C[right_p]`` and residual ``e_p``
+    against its target.  The loss is ``mean(e^2)``.  Its gradient sums
+    ``r_p C[partner]`` with ``r_p = 2 e_p / P`` onto each owning row,
+    ``agg``; then ``G = sin(rows W^T + b) * agg``, ``grad_w = -(2/D) G^T rows``
+    and ``grad_b = -(2/D) sum(G)``.  Trig work scales with the distinct
+    rows, not with the pairs, and every temporary beyond the cosine table
+    is a block of ``_BLOCK`` rows.
+    """
+    n_rows, n_pairs = pairs.rows.shape[0], pairs.left.shape[0]
+    embed_dim = weights.shape[0]
+    scale = 2.0 / embed_dim
+
+    # Phases are built in the same row blocks here and for the sines
+    # below, so a row's sine and cosine come from one phase.
+    cos_table = np.empty((n_rows, embed_dim))
+    for start in range(0, n_rows, _BLOCK):
+        stop = min(start + _BLOCK, n_rows)
+        np.cos(_phase(weights, offsets, pairs.rows[start:stop]), out=cos_table[start:stop])
+
+    # Gathers write into these buffers.  With mode="raise" np.take copies
+    # through a temporary; every index here is in range, so "clip" is safe.
+    buf_a = np.empty((_BLOCK, embed_dim))
+    buf_b = np.empty((_BLOCK, embed_dim))
+    gram = np.empty(n_pairs)
+    for start in range(0, n_pairs, _BLOCK):
+        stop = min(start + _BLOCK, n_pairs)
+        a = np.take(cos_table, pairs.left[start:stop], axis=0,
+                    out=buf_a[:stop - start], mode="clip")
+        b = np.take(cos_table, pairs.right[start:stop], axis=0,
+                    out=buf_b[:stop - start], mode="clip")
+        np.multiply(a, b, out=a)
+        np.sum(a, axis=1, out=gram[start:stop])
+    gram *= scale
+    resid = gram - pairs.targets
+    loss = float(np.dot(resid, resid)) / n_pairs
+    if not need_grad:
+        return loss, None, None
+
+    # d(mean loss)/d gram_p = 2 * resid_p / n_pairs
+    r = (2.0 / n_pairs) * resid
+    grad_w = np.zeros_like(weights)
+    grad_b = np.zeros_like(offsets)
+    agg = buf_b  # free once the Gram values are in
+    for k, start in enumerate(range(0, n_rows, _BLOCK)):
+        stop = min(start + _BLOCK, n_rows)
+        agg[:stop - start] = 0.0
+        # This row block owns a contiguous run of the sorted ends; take it
+        # 128 ends at a time, one reduceat segment per owning row.
+        for lo in range(pairs.block_ends[k], pairs.block_ends[k + 1], _BLOCK):
+            hi = min(lo + _BLOCK, pairs.block_ends[k + 1])
+            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf_a[:hi - lo],
+                            mode="clip")
+            terms *= r[pairs.pair[lo:hi], None]
+            owners = pairs.owner[lo:hi]
+            firsts = np.flatnonzero(np.diff(owners, prepend=-1))
+            agg[owners[firsts] - start] += np.add.reduceat(terms, firsts, axis=0)
+        rows = pairs.rows[start:stop]
+        g = _phase(weights, offsets, rows)
+        np.sin(g, out=g)
+        g *= agg[:stop - start]
+        grad_w += g.T @ rows
+        grad_b += np.sum(g, axis=0)
+    grad_w *= -scale
+    grad_b *= -scale
+    return loss, grad_w, grad_b
+
+
 def _loss_and_grad(weights, offsets, lhs, rhs, targets, need_grad):
     """Kernel-matching MSE (and gradient) at raw parameter arrays.
 
     Operating on bare arrays lets gradient descent move ``offsets``
     outside [0, 2*pi) mid-run; callers wrap them before building an
-    :class:`EmbeddingParams`.
+    :class:`EmbeddingParams`.  Pair p is ``(lhs[p], rhs[p])``.
     """
     n_pairs = lhs.shape[0]
-    embed_dim = weights.shape[0]
-    scale = 2.0 / embed_dim
-
-    loss = 0.0
-    grad_w = np.zeros_like(weights) if need_grad else None
-    grad_b = np.zeros_like(offsets) if need_grad else None
-    for start in range(0, n_pairs, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, n_pairs)
-        x, y, k = lhs[start:stop], rhs[start:stop], targets[start:stop]
-        ax = x @ weights.T + offsets
-        ay = y @ weights.T + offsets
-        cx, cy = np.cos(ax), np.cos(ay)
-        gram = scale * np.sum(cx * cy, axis=1)
-        resid = gram - k
-        loss += float(np.dot(resid, resid))
-        if need_grad:
-            sx, sy = np.sin(ax), np.sin(ay)
-            # d(mean loss)/d gram_p = 2 * resid_p / n_pairs
-            r = (2.0 / n_pairs) * resid
-            left = sx * cy * r[:, None]
-            right = cx * sy * r[:, None]
-            grad_w -= scale * (left.T @ x + right.T @ y)
-            grad_b -= scale * np.sum(left + right, axis=0)
-    return loss / n_pairs, grad_w, grad_b
+    pairs = _pair_set(np.concatenate([lhs, rhs]), np.arange(n_pairs),
+                      n_pairs + np.arange(n_pairs), targets)
+    return _pair_kernel(weights, offsets, pairs, need_grad)
 
 
 def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -269,13 +411,11 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> Em
     if keep.any():
         hi, hj = hi[keep], hj[keep]
 
-    lhs, rhs = features[pi], features[pj]
-    targets = gaussian_kernel(lhs, rhs, init.sigma)
-    hold_lhs, hold_rhs = features[hi], features[hj]
-    hold_targets = gaussian_kernel(hold_lhs, hold_rhs, init.sigma)
+    train_pairs = _sampled_pair_set(features, pi, pj, init.sigma)
+    hold_pairs = _sampled_pair_set(features, hi, hj, init.sigma)
 
     def holdout_mse(weights, offsets):
-        return _loss_and_grad(weights, offsets, hold_lhs, hold_rhs, hold_targets, False)[0]
+        return _pair_kernel(weights, offsets, hold_pairs, False)[0]
 
     baseline_mse = holdout_mse(init.weights, init.offsets)
     for attempt in range(cfg.max_retries + 1):
@@ -284,7 +424,7 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> Em
         offsets = init.offsets.copy()
         diverged = False
         for _ in range(cfg.epochs):
-            _, grad_w, grad_b = _loss_and_grad(weights, offsets, lhs, rhs, targets, True)
+            _, grad_w, grad_b = _pair_kernel(weights, offsets, train_pairs, True)
             weights -= lr * grad_w
             offsets -= lr * grad_b
             if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(offsets))):
@@ -296,6 +436,21 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> Em
         if holdout_mse(weights, offsets) <= baseline_mse:
             return replace(init, weights=weights, offsets=offsets)
     return init
+
+
+def _pairwise_distances(features: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every pair ``i < j``, in ``pdist`` order.
+
+    Squared differences are summed one column at a time, in column order,
+    which reproduces ``scipy.spatial.distance.pdist`` bit for bit without
+    importing scipy.
+    """
+    i, j = np.triu_indices(features.shape[0], k=1)
+    total = np.zeros(i.shape[0])
+    for column in features.T:
+        diff = column[i] - column[j]
+        total += diff * diff
+    return np.sqrt(total)
 
 
 def default_sigma_grid(features: np.ndarray, subset_size: int = 1000, seed: int = 0) -> list[float]:
@@ -311,10 +466,7 @@ def default_sigma_grid(features: np.ndarray, subset_size: int = 1000, seed: int 
     if features.shape[0] > subset_size:
         idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(features.shape[0], subset_size, replace=False)
         features = features[np.sort(idx)]
-    # Imported here so that commands given a sigma never import scipy.spatial.
-    from scipy.spatial.distance import pdist
-
-    median = float(np.median(pdist(features)))
+    median = float(np.median(_pairwise_distances(features)))
     if median <= 0.0:
         median = 1.0
     return [median * 2.0 ** k for k in range(-2, 3)]

@@ -21,29 +21,48 @@ from .errors import InsufficientDataError, InvalidArgumentError
 #: Bandwidth ratio under which exact KDE tracks the squared-kernel scores.
 KDE_BANDWIDTH_RATIO = 1.0 / np.sqrt(2.0)
 
+# Exact KDE scores up to 64 queries at once, holding at most 2^22 doubles
+# (32 MiB) of differences to the training rows.
+_KDE_BLOCK = 64
+_KDE_ELEMENTS = 1 << 22
+
 
 def kde_exact(train: np.ndarray, sigma: float, x: np.ndarray) -> float:
     """Exact Gaussian KDE value at ``x``:
 
     ``(1/n) sum_i (2 pi sigma^2)^(-d/2) exp(-||x - x_i||^2 / (2 sigma^2))``
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidArgumentError(f"query must be a vector, got shape {x.shape}")
+    return float(kde_exact_batch(train, sigma, x[np.newaxis])[0])
+
+
+def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.ndarray:
+    """Exact KDE for each query row, in input order.
+
+    Queries are scored in blocks of up to ``_KDE_BLOCK`` rows, fewer when
+    the block's ``(queries, n, d)`` difference array would pass
+    ``_KDE_ELEMENTS`` entries.  Each value depends only on its own query
+    row, so any blocking gives the same bits.
+    """
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.shape[0] == 0:
         raise InsufficientDataError("training matrix must be 2-D and nonempty")
     if sigma <= 0:
         raise InvalidArgumentError("sigma must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    d = train.shape[1]
-    if x.shape != (d,):
-        raise InvalidArgumentError(f"query must have shape ({d},), got {x.shape}")
-    sq = np.sum((train - x) ** 2, axis=1)
+    n, d = train.shape
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise InvalidArgumentError(f"queries must have shape (m, {d}), got {queries.shape}")
     norm = (2.0 * np.pi * sigma ** 2) ** (-d / 2.0)
-    return float(norm * np.mean(np.exp(-sq / (2.0 * sigma ** 2))))
-
-
-def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.ndarray:
-    """Exact KDE for each query row, in input order."""
-    return np.array([kde_exact(train, sigma, q) for q in np.asarray(queries, dtype=np.float64)])
+    block = max(1, min(_KDE_BLOCK, _KDE_ELEMENTS // max(1, n * d)))
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], block):
+        q = queries[start:start + block]
+        sq = np.sum((train[np.newaxis] - q[:, np.newaxis]) ** 2, axis=2)
+        out[start:start + block] = norm * np.mean(np.exp(-sq / (2.0 * sigma ** 2)), axis=1)
+    return out
 
 
 def qde_bruteforce(embeddings, phi: np.ndarray) -> float:

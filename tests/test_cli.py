@@ -121,6 +121,24 @@ class TestFit:
         model = load_model(model_path)
         assert model.use_aff
 
+    def test_aff_fallback_is_reported(self, tmp_path, dataset_path):
+        # A divergent learning rate keeps the random features: the fit
+        # report still shows the requested settings, the model and its
+        # eval report show that AFF was not used.
+        cfg = tmp_path / "aff.cfg"
+        cfg.write_text("embed_dim = 32\naff_num_pairs = 200\naff_epochs = 20\n"
+                       "aff_learning_rate = 1e9\naff_max_retries = 1\n", encoding="utf-8")
+        model_path = tmp_path / "model_aff.json"
+        assert main(["fit", str(dataset_path), "--out", str(model_path),
+                     "--config", str(cfg), "--use-aff", "--seed", "1"]) == EXIT_OK
+        fit_doc = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert fit_doc["config"]["use_aff"] is True
+        assert load_model(model_path).use_aff is False
+        report = tmp_path / "eval.json"
+        assert main(["eval", str(dataset_path), "--model", str(model_path),
+                     "--report", str(report), "--seed", "1"]) == EXIT_OK
+        assert json.loads(report.read_text())["config"]["use_aff"] is False
+
     def test_metrics_recomputable_from_predictions(self, tmp_path, dataset_path):
         model_path = tmp_path / "model.json"
         report_path = tmp_path / "report.json"
@@ -251,14 +269,20 @@ class TestUsage:
         assert main(["fit", "--bogus"]) == EXIT_USAGE
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.stats and scipy.spatial take about a second to import; only
-    # ``eval --oracle`` and the default sigma grid use them, so they load lazily.
+def test_import_leaves_scipy_unloaded(tmp_path, dataset_path):
+    # scipy.stats takes about a second to import; only ``eval --oracle``
+    # uses it, so it loads lazily.  A fit without a sigma computes the
+    # default grid's pairwise distances in numpy and never loads scipy.
     src = str(Path(dmkde.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    fit_argv = ["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+                "--config", str(small_config(tmp_path))]
     code = ("import sys, dmkde.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules)); "
+            f"assert dmkde.cli.main({fit_argv!r}) == 0; "
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[-1] == "False"

@@ -133,8 +133,11 @@ class TestFit:
         pts = gaussian_points(14, 150)
         model, val_densities = fit(pts[:100], pts[100:], 0.1,
                                    FitConfig(sigma=1.0, embed_dim=100, seed=3))
-        _, densities = predict_batch(model, pts[100:])
+        labels, densities = predict_batch(model, pts[100:])
         assert np.array_equal(val_densities, densities)
+        # A single sample scores exactly as its row of the batch.
+        assert all(predict(model, x) == (labels[k], densities[k])
+                   for k, x in enumerate(pts[100:]))
 
     def test_empty_sets_rejected(self):
         pts = gaussian_points(9, 10)
@@ -151,6 +154,16 @@ class TestFit:
         a, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         b, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         assert a.use_aff and np.array_equal(a.embedding.weights, b.embedding.weights)
+
+    def test_divergent_aff_records_use_aff_false(self):
+        pts = gaussian_points(10, 100)
+        cfg = FitConfig(sigma=1.0, embed_dim=16, use_aff=True, seed=3,
+                        aff=AffConfig(num_pairs=200, epochs=50, learning_rate=1e9, seed=1,
+                                      max_retries=1))
+        model, _ = fit(pts[:70], pts[70:], 0.1, cfg)
+        plain, _ = fit(pts[:70], pts[70:], 0.1, FitConfig(sigma=1.0, embed_dim=16, seed=3))
+        assert model.use_aff is False
+        assert np.array_equal(model.embedding.weights, plain.embedding.weights)
 
 
 @pytest.fixture(scope="module")

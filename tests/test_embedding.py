@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmkde import (
     AffConfig,
@@ -14,7 +16,15 @@ from dmkde import (
     sample_rff_params,
     train_aff,
 )
-from dmkde.embedding import EmbeddingParams, _loss_and_grad, _normalize_rows
+from dmkde.embedding import (
+    _BLOCK,
+    EmbeddingParams,
+    _loss_and_grad,
+    _normalize_rows,
+    _pair_kernel,
+    _pairwise_distances,
+    _sampled_pair_set,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,6 +148,17 @@ class TestEmbed:
         with pytest.raises(DegenerateEmbeddingError):
             _normalize_rows(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("d,D", [(2, 100), (1, 17), (3, 255), (3, 511), (5, 700), (8, 1024)])
+    def test_single_rows_equal_batch_rows_bitwise(self, d, D):
+        # Widths that are not multiples of 8 put the last columns in a
+        # partial GEMM tile, which rounds by row position unless padded.
+        p = sample_rff_params(d, D, 1.3, seed=2)
+        x = np.random.default_rng(D).normal(size=(_BLOCK + 2, d)) * 2.0
+        batch = embed(p, x)
+        assert all(np.array_equal(embed(p, row), batch[k]) for k, row in enumerate(x))
+        assert np.array_equal(np.vstack([embed(p, x[:37]), embed(p, x[37:])]), batch)
+        assert np.array_equal(embed_raw(p, x[5]), embed_raw(p, x)[5])
+
 
 @pytest.fixture(scope="module")
 def features():
@@ -229,7 +250,85 @@ class TestTrainAff:
         assert np.array_equal(a.offsets, b.offsets)
 
 
+def per_pair_reference(weights, offsets, x, y, targets):
+    """Loss, grad_w and grad_b summed one pair at a time, each with a scale.
+
+    A scale is the same sum taken over absolute values (with each residual
+    widened by the magnitude of its terms), so it bounds the rounding any
+    order of summation can leave in the value.  Where nothing cancels it
+    equals the value's own magnitude.
+    """
+    n_pairs, embed_dim = x.shape[0], weights.shape[0]
+    s = 2.0 / embed_dim
+    loss = loss_scale = 0.0
+    grad_w, grad_w_scale = np.zeros_like(weights), np.zeros_like(weights)
+    grad_b, grad_b_scale = np.zeros_like(offsets), np.zeros_like(offsets)
+    for p in range(n_pairs):
+        ax = weights @ x[p] + offsets
+        ay = weights @ y[p] + offsets
+        cx, cy, sx, sy = np.cos(ax), np.cos(ay), np.sin(ax), np.sin(ay)
+        resid = s * np.sum(cx * cy) - targets[p]
+        resid_scale = abs(resid) + s * np.sum(np.abs(cx * cy)) + abs(targets[p])
+        loss += resid * resid
+        loss_scale += resid_scale * resid_scale
+        r = 2.0 * resid / n_pairs
+        r_scale = 2.0 * resid_scale / n_pairs
+        dx, dy = -s * r * sx * cy, -s * r * cx * sy
+        dx_scale, dy_scale = s * r_scale * np.abs(sx * cy), s * r_scale * np.abs(cx * sy)
+        grad_w += np.outer(dx, x[p]) + np.outer(dy, y[p])
+        grad_w_scale += np.outer(dx_scale, np.abs(x[p])) + np.outer(dy_scale, np.abs(y[p]))
+        grad_b += dx + dy
+        grad_b_scale += dx_scale + dy_scale
+    return ((loss / n_pairs, loss_scale / n_pairs), (grad_w, np.max(grad_w_scale)),
+            (grad_b, np.max(grad_b_scale)))
+
+
+class TestPairKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), n_pairs=st.integers(1, 300), embed_dim=st.integers(1, 64),
+           input_dim=st.integers(1, 5), sigma=st.floats(0.3, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, n_pairs=300, embed_dim=64, input_dim=5, sigma=1.0, seed=0)
+    @example(n=40, n_pairs=1, embed_dim=1, input_dim=1, sigma=0.3, seed=1)
+    def test_distinct_rows_match_per_pair_reference(self, n, n_pairs, embed_dim, input_dim,
+                                                    sigma, seed):
+        # Pairs are drawn with replacement, so P > n repeats pairs, and
+        # self-pairs (i == j) occur too.
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, input_dim))
+        i = rng.integers(0, n, n_pairs)
+        j = rng.integers(0, n, n_pairs)
+        params = sample_rff_params(input_dim, embed_dim, sigma, seed=seed)
+        w, b = params.weights, params.offsets
+        x, y = features[i], features[j]
+        targets = gaussian_kernel(x, y, sigma)
+        reference = per_pair_reference(w, b, x, y, targets)
+
+        distinct = _pair_kernel(w, b, _sampled_pair_set(features, i, j, sigma), True)
+        per_end = _loss_and_grad(w, b, x, y, targets, True)
+        for got in (distinct, per_end):
+            for value, (expected, scale) in zip(got, reference):
+                assert np.max(np.abs(value - expected)) <= 1e-12 * scale
+        assert _loss_and_grad(w, b, x, y, targets, False)[0] == per_end[0]
+
+    def test_pair_set_uses_distinct_rows(self):
+        i = np.array([3, 3, 7, 3])
+        j = np.array([7, 9, 3, 7])
+        pairs = _sampled_pair_set(np.arange(20.0)[:, None], i, j, 1.0)
+        assert np.array_equal(pairs.rows[:, 0], [3.0, 7.0, 9.0])
+        assert np.array_equal(pairs.rows[pairs.left, 0], i)
+        assert np.array_equal(pairs.rows[pairs.right, 0], j)
+        assert np.all(np.diff(pairs.owner) >= 0)
+
+
 class TestSigmaGrid:
+    @pytest.mark.parametrize("n,d", [(2, 1), (50, 3), (300, 17), (120, 64), (257, 2), (1000, 8)])
+    def test_distances_match_pdist_bitwise(self, n, d):
+        from scipy.spatial.distance import pdist
+
+        x = np.random.default_rng(n + d).normal(size=(n, d)) * 3.0 + 1.0
+        assert np.array_equal(_pairwise_distances(x), pdist(x))
+
     def test_grid_is_powers_of_two_times_median(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(50, 3))

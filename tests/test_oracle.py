@@ -7,6 +7,7 @@ from dmkde import (
     build_density_matrix,
     estimate_density,
     kde_exact,
+    kde_exact_batch,
     qde_bruteforce,
     reference_classifier,
 )
@@ -51,6 +52,19 @@ class TestKdeExact:
     def test_bad_sigma(self):
         with pytest.raises(InvalidArgumentError):
             kde_exact(np.zeros((3, 2)), 0.0, np.zeros(2))
+
+    @pytest.mark.parametrize("n,m,d", [(1, 1, 1), (257, 158, 2), (33, 200, 17), (3, 129, 64),
+                                       (40_000, 70, 2)])
+    def test_batch_equals_per_query_loop_bitwise(self, n, m, d):
+        # The last shape scores fewer than 64 queries per block.
+        rng = np.random.default_rng(n + m + d)
+        train, queries, sigma = rng.normal(size=(n, d)), 1.5 * rng.normal(size=(m, d)), 0.7
+        norm = (2.0 * np.pi * sigma ** 2) ** (-d / 2.0)
+        loop = [norm * np.mean(np.exp(-np.sum((train - q) ** 2, axis=1) / (2.0 * sigma ** 2)))
+                for q in queries]
+        batch = kde_exact_batch(train, sigma, queries)
+        assert np.array_equal(batch, np.array(loop))
+        assert kde_exact(train, sigma, queries[-1]) == batch[-1]
 
 
 class TestQdeBruteforce:
