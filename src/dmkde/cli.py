@@ -359,10 +359,6 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
 
 
 def _oracle_comparison(model: DetectorModel, train, val, test, pred, densities) -> dict:
-    # Imported here: scipy.stats costs about a second to import, and only
-    # ``eval --oracle`` needs it.
-    from scipy.stats import spearmanr
-
     if model.shift is not None:
         train = apply_standardizer(train, model.shift, model.scale)
         val = apply_standardizer(val, model.shift, model.scale)
@@ -370,11 +366,10 @@ def _oracle_comparison(model: DetectorModel, train, val, test, pred, densities) 
     kde_sigma = float(model.embedding.sigma * KDE_BANDWIDTH_RATIO)
     ref_labels = reference_classifier(train, val, test, model.anomaly_rate, kde_sigma)
     kde_scores = kde_exact_batch(train, kde_sigma, test)
-    rho = spearmanr(densities, kde_scores).statistic
     return {
         "kde_sigma": kde_sigma,
         "label_agreement": float(np.mean(ref_labels == pred)),
-        "spearman": float(rho),
+        "spearman": metrics.spearman(densities, kde_scores),
     }
 
 

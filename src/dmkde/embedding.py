@@ -313,15 +313,18 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
         stop = min(start + _BLOCK, n_rows)
         agg[:stop - start] = 0.0
         # This row block owns a contiguous run of the sorted ends; take it
-        # 128 ends at a time, one reduceat segment per owning row.
+        # 128 ends at a time and sum each owning row's segment.  np.add.reduce
+        # per segment adds rows in the same order as np.add.reduceat(axis=0)
+        # but runs several times faster along axis 0.
         for lo in range(pairs.block_ends[k], pairs.block_ends[k + 1], _BLOCK):
             hi = min(lo + _BLOCK, pairs.block_ends[k + 1])
             terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf_a[:hi - lo],
                             mode="clip")
             terms *= r[pairs.pair[lo:hi], None]
             owners = pairs.owner[lo:hi]
-            firsts = np.flatnonzero(np.diff(owners, prepend=-1))
-            agg[owners[firsts] - start] += np.add.reduceat(terms, firsts, axis=0)
+            firsts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
+            for first, end in zip(firsts, firsts[1:] + [hi - lo]):
+                agg[owners[first] - start] += np.add.reduce(terms[first:end], axis=0)
         rows = pairs.rows[start:stop]
         g = _phase(weights, offsets, rows)
         np.sin(g, out=g)

@@ -1,4 +1,5 @@
-"""Binary classification metrics with anomaly (label 1) as positive class.
+"""Binary classification metrics with anomaly (label 1) as positive class,
+and the Spearman rank correlation the oracle comparison reports.
 
 F1 follows the zero-division convention F1 = 0: a class with no true and
 no predicted members scores 0 and still contributes its (zero) support
@@ -77,3 +78,34 @@ def f1_weighted(y_true, y_pred) -> float:
 def accuracy(y_true, y_pred) -> float:
     c = confusion(y_true, y_pred)
     return (c.tp + c.tn) / c.total
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    counts = np.diff(starts, append=y.size)
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman(a, b) -> float:
+    """Spearman rank correlation of two equal-length 1-D sequences.
+
+    The Pearson correlation of their average ranks, computed with the same
+    operations as ``scipy.stats.spearmanr(a, b).statistic`` and equal to it
+    bit for bit.  Like scipy, returns nan for fewer than two values, for a
+    constant input, and for an input containing nan.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise InvalidArgumentError("spearman needs two 1-D sequences of equal length")
+    data = np.column_stack((a, b))
+    if (data.shape[0] < 2 or np.any(np.all(data == data[0], axis=0))
+            or np.any(np.isnan(data))):
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(data[:, 0]), _average_ranks(data[:, 1])))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])

@@ -270,17 +270,22 @@ class TestUsage:
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, dataset_path):
-    # scipy.stats takes about a second to import; only ``eval --oracle``
-    # uses it, so it loads lazily.  A fit without a sigma computes the
-    # default grid's pairwise distances in numpy and never loads scipy.
+    # scipy is not a runtime dependency, and importing scipy.stats alone
+    # takes about a second.  A fit without a sigma computes the default
+    # grid's pairwise distances in numpy, and ``eval --oracle`` its
+    # Spearman correlation, so neither loads scipy.
     src = str(Path(dmkde.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    fit_argv = ["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+    model = str(tmp_path / "m.json")
+    fit_argv = ["fit", str(dataset_path), "--out", model,
                 "--config", str(small_config(tmp_path))]
+    eval_argv = ["eval", str(dataset_path), "--model", model,
+                 "--report", str(tmp_path / "eval.json"), "--oracle"]
     code = ("import sys, dmkde.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules)); "
             f"assert dmkde.cli.main({fit_argv!r}) == 0; "
+            f"assert dmkde.cli.main({eval_argv!r}) == 0; "
             "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

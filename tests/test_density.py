@@ -57,6 +57,26 @@ class TestBuild:
         with pytest.raises(InvalidArgumentError):
             build_density_matrix([np.zeros(3), np.zeros(4)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300),
+           dim=st.one_of(st.integers(1, 80),
+                         st.sampled_from((96, 127, 128, 255, 511, 512, 700, 1024))),
+           layout=st.sampled_from(("C", "F", "strided")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exactly_symmetric_without_symmetrizing(self, n, dim, layout, seed):
+        phis = random_unit_vectors(np.random.default_rng(seed), n, dim)
+        expected = phis.T @ phis / n
+        expected = (expected + expected.T) / 2.0
+        if layout == "F":
+            phis = np.asfortranarray(phis)
+        elif layout == "strided":
+            wide = np.zeros((n, 2 * dim))
+            wide[:, ::2] = phis
+            phis = wide[:, ::2]
+        matrix = build_density_matrix(phis).matrix
+        assert np.array_equal(matrix, matrix.T)
+        assert np.array_equal(matrix, expected)
+
 
 class TestMerge:
     def test_merge_equals_joint_build(self):
@@ -208,3 +228,24 @@ class TestValidation:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(InvalidArgumentError):
             DensityMatrix(np.eye(2) / 2, 0)
+
+    @pytest.mark.parametrize("off_diagonal", [1.5, -1.5])
+    def test_rejects_entries_outside_unit_range(self, off_diagonal):
+        # Symmetric with trace 1, so only the entry range check can fail.
+        with pytest.raises(InvalidArgumentError, match=r"lie in \[-1, 1\]"):
+            DensityMatrix(np.array([[0.5, off_diagonal], [off_diagonal, 0.5]]), 1)
+
+    # D=300 leaves a partial last tile in the blocked symmetry check.
+    # (row, col) pairs in the first tile, in a tile off the diagonal and in
+    # the last, partial tile.
+    @pytest.mark.parametrize("row, col", [(3, 70), (40, 200), (260, 299)])
+    @pytest.mark.parametrize("skew, accepted", [(2e-12, False), (5e-13, True)])
+    def test_symmetry_tolerance_in_every_tile(self, row, col, skew, accepted):
+        dim = 300
+        matrix = build_density_matrix(random_unit_vectors(np.random.default_rng(7), 50, dim)).matrix
+        matrix[row, col] += skew
+        if accepted:
+            assert DensityMatrix(matrix, 50).sample_count == 50
+        else:
+            with pytest.raises(InvalidArgumentError, match="not symmetric"):
+                DensityMatrix(matrix, 50)

@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from dmkde import InvalidArgumentError, accuracy, confusion, f1_anomaly, f1_weighted
+from dmkde.metrics import spearman
 
 
 class TestConfusion:
@@ -87,3 +93,50 @@ class TestF1AnomalyAccuracy:
             p = rng.integers(0, 2, 15)
             for m in (f1_weighted, f1_anomaly, accuracy):
                 assert 0.0 <= m(y, p) <= 1.0
+
+
+def _scipy_spearman(a, b) -> float:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant input warns and gives nan
+        return float(spearmanr(a, b).statistic)
+
+
+class TestSpearman:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 400),
+           values=st.sampled_from(("continuous", "rounded", "three_levels",
+                                   "constant_a", "constant_b")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_bitwise(self, n, values, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n)
+        b = rng.normal() * a + rng.normal(size=n)
+        if values == "rounded":
+            a, b = np.round(a, 1), np.round(b)
+        elif values == "three_levels":
+            a, b = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float)
+        elif values == "constant_a":
+            a = np.full(n, a[0])
+        elif values == "constant_b":
+            b = np.full(n, b[0])
+        got, ref = spearman(a, b), _scipy_spearman(a, b)
+        if np.isnan(ref):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    def test_hand_values(self):
+        assert spearman([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == 1.0
+        assert spearman([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
+        # ranks (1.5, 1.5, 3) against (1, 2, 3)
+        assert spearman([5.0, 5.0, 7.0], [1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(0.75))
+
+    @pytest.mark.parametrize("a, b", [([], []), ([1.0], [2.0]),
+                                      ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])])
+    def test_undefined_is_nan(self, a, b):
+        assert np.isnan(spearman(a, b))
+        assert np.isnan(_scipy_spearman(a, b))
+
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidArgumentError):
+            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
