@@ -49,7 +49,6 @@ from .embedding import (
     embed_raw,
     gaussian_kernel,
     pair_loss,
-    pair_loss_grad,
     sample_rff_params,
     train_aff,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "load_model",
     "merge_density_matrices",
     "pair_loss",
-    "pair_loss_grad",
     "predict",
     "predict_batch",
     "qde_bruteforce",

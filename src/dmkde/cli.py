@@ -1,9 +1,11 @@
 """Command-line harness: fit, predict, eval, benchmark, generate.
 
 Reports are canonical JSON (sorted keys, shortest-repr floats) so runs
-with identical seeds produce byte-identical files; wall-clock timings
-therefore go to stderr, never into report files.  Exit codes: 0 ok,
-2 usage, 3 parse error, 4 config error, 5 runtime error.
+with identical seeds produce byte-identical files.  Stderr carries only
+errors, including each dataset ``benchmark`` could not run, so a clean
+run writes nothing there; per-stage timings come from the opt-in trace,
+``bench/run.py --trace 1``.  Exit codes: 0 ok, 2 usage, 3 parse error,
+4 config error, 5 runtime error.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,30 +55,33 @@ REPORT_SCHEMA = "dmkde-report/1"
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
-_CONFIG_KEYS = {
-    "sigma": "float",
-    "embed_dim": "int",
-    "use_aff": "bool",
-    "standardize": "bool",
-    "seed": "int",
-    "anomaly_rate": "float",
-    "test_frac": "float",
-    "val_frac": "float",
-    "aff_num_pairs": "int",
-    "aff_epochs": "int",
-    "aff_learning_rate": "float",
-    "aff_seed": "int",
-    "aff_holdout_pairs": "int",
-    "aff_max_retries": "int",
-    "grid_sigma": "float_list",
-    "grid_embed_dim": "int_list",
-    "grid_use_aff": "bool_list",
+# Config key -> (kind, default).  None means: derived at run time (sigma
+# and the grids from the data, anomaly_rate from the labels, aff_seed
+# from seed).
+_CONFIG = {
+    "sigma": ("float", None),
+    "embed_dim": ("int", 1024),
+    "use_aff": ("bool", FitConfig.use_aff),
+    "standardize": ("bool", FitConfig.standardize),
+    "seed": ("int", FitConfig.seed),
+    "anomaly_rate": ("float", None),
+    "test_frac": ("float", 0.3),
+    "val_frac": ("float", 0.3),
+    "aff_num_pairs": ("int", AffConfig.num_pairs),
+    "aff_epochs": ("int", AffConfig.epochs),
+    "aff_learning_rate": ("float", AffConfig.learning_rate),
+    "aff_seed": ("int", None),
+    "aff_holdout_pairs": ("int", AffConfig.holdout_pairs),
+    "aff_max_retries": ("int", AffConfig.max_retries),
+    "grid_sigma": ("float_list", None),
+    "grid_embed_dim": ("int_list", None),
+    "grid_use_aff": ("bool_list", None),
 }
 
 
 @dataclass
 class RunReport:
-    """One run's results; everything but ``timings_ms`` is deterministic."""
+    """One run's results, all of them deterministic."""
 
     dataset: str
     config: dict
@@ -88,7 +92,6 @@ class RunReport:
     eval_split: str
     metric_values: dict
     oracle: dict | None = None
-    timings_ms: dict = field(default_factory=dict)
 
     def to_document(self) -> dict:
         doc = {
@@ -112,7 +115,7 @@ def canonical_json(doc) -> str:
 
 
 def _parse_value(key: str, raw: str):
-    kind = _CONFIG_KEYS[key]
+    kind = _CONFIG[key][0]
     try:
         if kind == "float":
             return float(raw)
@@ -152,7 +155,7 @@ def read_config(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
     return values
@@ -160,25 +163,7 @@ def read_config(path) -> dict:
 
 def _settings(args) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    values = {
-        "sigma": None,
-        "embed_dim": 1024,
-        "use_aff": False,
-        "standardize": True,
-        "seed": 0,
-        "anomaly_rate": None,
-        "test_frac": 0.3,
-        "val_frac": 0.3,
-        "aff_num_pairs": 10_000,
-        "aff_epochs": 1000,
-        "aff_learning_rate": 1e-3,
-        "aff_seed": None,
-        "aff_holdout_pairs": 1000,
-        "aff_max_retries": 3,
-        "grid_sigma": None,
-        "grid_embed_dim": None,
-        "grid_use_aff": None,
-    }
+    values = {key: default for key, (_, default) in _CONFIG.items()}
     if getattr(args, "config", None):
         values.update(read_config(args.config))
     for key in ("sigma", "embed_dim", "use_aff", "seed", "anomaly_rate",
@@ -191,9 +176,9 @@ def _settings(args) -> dict:
     return values
 
 
-def _fit_config(settings: dict, sigma: float) -> FitConfig:
+def _aff_config(settings: dict) -> AffConfig:
     aff_seed = settings["aff_seed"]
-    aff = AffConfig(
+    return AffConfig(
         num_pairs=settings["aff_num_pairs"],
         epochs=settings["aff_epochs"],
         learning_rate=settings["aff_learning_rate"],
@@ -201,32 +186,17 @@ def _fit_config(settings: dict, sigma: float) -> FitConfig:
         holdout_pairs=settings["aff_holdout_pairs"],
         max_retries=settings["aff_max_retries"],
     )
+
+
+def _fit_config(settings: dict, sigma: float) -> FitConfig:
     return FitConfig(
         sigma=sigma,
         embed_dim=settings["embed_dim"],
         use_aff=settings["use_aff"],
-        aff=aff,
+        aff=_aff_config(settings),
         seed=settings["seed"],
         standardize=settings["standardize"],
     )
-
-
-def _config_document(cfg: FitConfig) -> dict:
-    return {
-        "sigma": float(cfg.sigma),
-        "embed_dim": int(cfg.embed_dim),
-        "use_aff": bool(cfg.use_aff),
-        "seed": int(cfg.seed),
-        "standardize": bool(cfg.standardize),
-        "aff": {
-            "num_pairs": cfg.aff.num_pairs,
-            "epochs": cfg.aff.epochs,
-            "learning_rate": float(cfg.aff.learning_rate),
-            "seed": cfg.aff.seed,
-            "holdout_pairs": cfg.aff.holdout_pairs,
-            "max_retries": cfg.aff.max_retries,
-        },
-    }
 
 
 def _default_grid(features: np.ndarray, standardize: bool, seed: int) -> list[float]:
@@ -257,22 +227,10 @@ def _write_predictions(path, indices, densities, labels, truths) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit_timings(timings: dict) -> None:
-    for stage, ms in timings.items():
-        print(f"[timing] {stage}={ms:.1f}ms", file=sys.stderr)
-
-
 def cmd_fit(args) -> int:
     settings = _settings(args)
-    timings = {}
-    t0 = time.perf_counter()
     ds = load_csv(args.data, label_column=args.label_column)
-    timings["load"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
     split = stratified_split(ds, settings["test_frac"], settings["val_frac"], settings["seed"])
-    timings["split"] = (time.perf_counter() - t0) * 1e3
-
     train = ds.features[split.train]
     val = ds.features[split.val]
     rate = settings["anomaly_rate"]
@@ -282,30 +240,25 @@ def cmd_fit(args) -> int:
     if sigma is None:
         sigma = _default_grid(train, settings["standardize"], settings["seed"])[2]
     cfg = _fit_config(settings, sigma)
-
-    t0 = time.perf_counter()
     model, val_densities = fit(train, val, rate, cfg)
     val_pred = classify_batch(val_densities, model.theta)
-    timings["fit"] = (time.perf_counter() - t0) * 1e3
 
     out = Path(args.out)
     save_model(model, out)
     report = RunReport(
         dataset=ds.name,
-        config=_config_document(cfg),
+        config=asdict(cfg),
         split_seed=settings["seed"],
         split_sizes={"train": len(split.train), "val": len(split.val), "test": len(split.test)},
         anomaly_rate=float(rate),
         theta=float(model.theta),
         eval_split="val",
         metric_values=_metric_document(ds.labels[split.val], val_pred),
-        timings_ms=timings,
     )
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
     report_path.write_text(canonical_json(report.to_document()), encoding="utf-8")
     pred_path = Path(args.predictions) if args.predictions else out.with_suffix(".predictions.csv")
     _write_predictions(pred_path, split.val, val_densities, val_pred, ds.labels[split.val])
-    _emit_timings(timings)
     print(f"fit {ds.name}: theta={model.theta!r} "
           f"val_f1_weighted={report.metric_values['f1_weighted']!r} model={out}")
     return EXIT_OK
@@ -320,25 +273,16 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
     shared by ``eval`` and the acceptance suite so both produce identical
     report documents for identical inputs.
     """
-    if ds.features.shape[1] != model.input_dim:
-        raise InvalidArgumentError(
-            f"model expects {model.input_dim} features, dataset has {ds.features.shape[1]}"
-        )
-    timings = {}
-    t0 = time.perf_counter()
     split = stratified_split(ds, test_frac, val_frac, seed)
     test = ds.features[split.test]
     truth = ds.labels[split.test]
     pred, densities = predict_batch(model, test)
-    timings["score"] = (time.perf_counter() - t0) * 1e3
 
     oracle_doc = None
     if with_oracle:
-        t0 = time.perf_counter()
         train = ds.features[split.train]
         val = ds.features[split.val]
         oracle_doc = _oracle_comparison(model, train, val, test, pred, densities)
-        timings["oracle"] = (time.perf_counter() - t0) * 1e3
 
     report = RunReport(
         dataset=ds.name,
@@ -353,16 +297,12 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
         eval_split="test",
         metric_values=_metric_document(truth, pred),
         oracle=oracle_doc,
-        timings_ms=timings,
     )
     return report, split.test, densities, pred
 
 
 def _oracle_comparison(model: DetectorModel, train, val, test, pred, densities) -> dict:
-    if model.shift is not None:
-        train = apply_standardizer(train, model.shift, model.scale)
-        val = apply_standardizer(val, model.shift, model.scale)
-        test = apply_standardizer(test, model.shift, model.scale)
+    train, val, test = model.standardize(train), model.standardize(val), model.standardize(test)
     kde_sigma = float(model.embedding.sigma * KDE_BANDWIDTH_RATIO)
     ref_labels = reference_classifier(train, val, test, model.anomaly_rate, kde_sigma)
     kde_scores = kde_exact_batch(train, kde_sigma, test)
@@ -386,7 +326,6 @@ def cmd_eval(args) -> int:
     pred_path = (Path(args.predictions) if args.predictions
                  else report_path.with_suffix(".predictions.csv"))
     _write_predictions(pred_path, test_idx, densities, pred, ds.labels[test_idx])
-    _emit_timings(report.timings_ms)
     line = (f"eval {ds.name}: test_f1_weighted={report.metric_values['f1_weighted']!r} "
             f"accuracy={report.metric_values['accuracy']!r}")
     if report.oracle is not None:
@@ -419,13 +358,10 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[RunReport, di
     use_aff_options = settings["grid_use_aff"]
     if use_aff_options is None:
         use_aff_options = [settings["use_aff"]]
-    if not sigmas or not embed_dims or not use_aff_options:
-        raise ConfigError("benchmark grids must be nonempty")
 
-    aff = _fit_config(settings, sigmas[0]).aff
     best_cfg, search_report = grid_search(
         train, val, ds.labels[split.val], rate, sigmas, embed_dims,
-        use_aff_options, aff=aff, seed=seed, standardize=settings["standardize"],
+        use_aff_options, aff=_aff_config(settings), seed=seed, standardize=settings["standardize"],
     )
     combined = np.vstack([train, val])
     model = fit_with_internal_split(combined, rate, best_cfg)
@@ -434,7 +370,7 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[RunReport, di
     best_val_f1 = max(row["f1_weighted"] for row in search_report)
     report = RunReport(
         dataset=ds.name,
-        config=_config_document(best_cfg),
+        config=asdict(best_cfg),
         split_seed=seed,
         split_sizes={"train": len(split.train), "val": len(split.val), "test": len(split.test)},
         anomaly_rate=float(rate),
@@ -470,7 +406,6 @@ def cmd_benchmark(args) -> int:
 
     rows = []
     for path in paths:
-        t0 = time.perf_counter()
         try:
             ds = load_csv(path, label_column=args.label_column)
             report, row, predictions = benchmark_dataset(ds, settings)
@@ -481,7 +416,6 @@ def cmd_benchmark(args) -> int:
             rows.append({"dataset": path.stem, "status": "failed", "error": str(exc)})
             print(f"[benchmark] {path.stem}: FAILED ({exc})", file=sys.stderr)
             continue
-        print(f"[timing] {ds.name}={(time.perf_counter() - t0) * 1e3:.1f}ms", file=sys.stderr)
         rows.append(row)
 
     summary = {
@@ -522,10 +456,6 @@ def cmd_generate(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = load_csv(args.data, label_column=args.label_column)
-    if ds.features.shape[1] != model.input_dim:
-        raise InvalidArgumentError(
-            f"model expects {model.input_dim} features, dataset has {ds.features.shape[1]}"
-        )
     pred, densities = predict_batch(model, ds.features)
     _write_predictions(args.out, np.arange(len(ds)), densities, pred, ds.labels)
     print(f"predict {ds.name}: {int(pred.sum())} of {len(ds)} flagged -> {args.out}")

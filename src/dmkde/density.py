@@ -90,13 +90,20 @@ def build_density_matrix(embeddings) -> DensityMatrix:
     Accepts a sequence of vectors or an (n, D) array.  The result is
     exactly symmetric: for a C-contiguous ``phi``, numpy computes
     ``phi.T @ phi`` as one triangle (BLAS ``syrk``) and mirrors it, so no
-    explicit symmetrization is needed.
+    explicit symmetrization is needed.  As in the scoring kernel, the
+    width is zero-padded to a multiple of ``_SCORE_LANES``: OpenBLAS
+    splits a partial tile differently with its thread count, so an
+    unpadded product can change in the last bit between 1 and 2 threads.
+    A width that is already a multiple is used as it is, without a copy.
     """
     phi = np.ascontiguousarray(_as_embedding_matrix(embeddings))
     if phi.shape[0] == 0:
         raise InsufficientDataError("cannot build a density matrix from zero embeddings")
-    n = phi.shape[0]
-    return DensityMatrix(phi.T @ phi / n, n)
+    n, dim = phi.shape
+    width = -(-dim // _SCORE_LANES) * _SCORE_LANES
+    if width != dim:
+        phi = np.pad(phi, ((0, 0), (0, width - dim)))
+    return DensityMatrix((phi.T @ phi)[:dim, :dim] / n, n)
 
 
 def merge_density_matrices(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -40,6 +40,9 @@ class FitConfig:
     def __post_init__(self):
         self.sigma = float(self.sigma)
         self.embed_dim = int(self.embed_dim)
+        self.use_aff = bool(self.use_aff)
+        self.seed = int(self.seed)
+        self.standardize = bool(self.standardize)
         if self.sigma <= 0 or not math.isfinite(self.sigma):
             raise InvalidArgumentError("sigma must be a positive finite real")
         if self.embed_dim < 1:
@@ -87,6 +90,13 @@ class DetectorModel:
     @property
     def input_dim(self) -> int:
         return self.embedding.input_dim
+
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the space the embedding was fitted in: z-scored with the
+        training shift and scale, or unchanged when the model has none."""
+        if self.shift is None:
+            return x
+        return apply_standardizer(x, self.shift, self.scale)
 
 
 def compute_threshold(val_densities, anomaly_rate: float) -> float:
@@ -204,9 +214,7 @@ def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
 
 def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """Density of each row of ``x`` under the fitted model (threshold-free)."""
-    x = _prepare_features(x, model.input_dim)
-    if model.shift is not None:
-        x = apply_standardizer(x, model.shift, model.scale)
+    x = model.standardize(_prepare_features(x, model.input_dim))
     return estimate_density_batch(model.dm, embed(model.embedding, x))
 
 

@@ -102,6 +102,7 @@ class AffConfig:
     max_retries: int = 3
 
     def __post_init__(self):
+        self.learning_rate = float(self.learning_rate)
         if self.num_pairs < 1:
             raise InvalidArgumentError("num_pairs must be >= 1")
         if self.epochs < 0:
@@ -360,14 +361,6 @@ def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> floa
     targets = gaussian_kernel(lhs, rhs, params.sigma)
     loss, _, _ = _loss_and_grad(params.weights, params.offsets, lhs, rhs, targets, False)
     return loss
-
-
-def pair_loss_grad(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray):
-    """Loss plus its analytic gradient w.r.t. ``weights`` and ``offsets``."""
-    lhs = np.asarray(lhs, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    targets = gaussian_kernel(lhs, rhs, params.sigma)
-    return _loss_and_grad(params.weights, params.offsets, lhs, rhs, targets, True)
 
 
 def _sample_pair_indices(rng: np.random.Generator, n: int, count: int):

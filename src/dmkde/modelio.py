@@ -39,6 +39,8 @@ def _encode(arr: np.ndarray | None) -> str | None:
 def _decode(text: str | None, shape: tuple[int, ...]):
     if text is None:
         return None
+    if not isinstance(text, str):
+        raise ParseError(f"array payload must be a base64 string, got {type(text).__name__}")
     try:
         buf = base64.b64decode(text.encode("ascii"), validate=True)
         arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
@@ -96,7 +98,7 @@ def model_from_document(doc: dict) -> DetectorModel:
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"model document is invalid: {exc}") from exc

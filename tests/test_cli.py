@@ -178,6 +178,16 @@ class TestEval:
                         encoding="utf-8")
         assert main(["eval", str(wide), "--model", str(fitted),
                      "--report", str(tmp_path / "r.json")]) == EXIT_RUNTIME
+        assert main(["predict", str(wide), "--model", str(fitted),
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_RUNTIME
+
+    def test_malformed_model_field_is_parse_error(self, tmp_path, dataset_path, fitted):
+        doc = json.loads(fitted.read_text(encoding="utf-8"))
+        doc["sigma"] = None
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", str(dataset_path), "--model", str(bad),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
 
     def test_oracle_agreement_on_synthetic(self, tmp_path, dataset_path):
         model_path = tmp_path / "model_oracle.json"
@@ -259,6 +269,23 @@ class TestPredict:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,density,label,truth"
         assert len(lines) == 1 + 525
+
+
+def test_success_writes_nothing_to_stderr(tmp_path, dataset_path, capsys):
+    model = str(tmp_path / "model.json")
+    data_dir = tmp_path / "bench_data"
+    data_dir.mkdir()
+    (data_dir / "two_cluster.csv").write_bytes(dataset_path.read_bytes())
+    cfg = str(small_config(tmp_path, "grid_sigma = 1.0\ngrid_embed_dim = 32\n"))
+    capsys.readouterr()
+    for argv in (["fit", str(dataset_path), "--out", model, "--config", cfg],
+                 ["eval", str(dataset_path), "--model", model, "--oracle",
+                  "--report", str(tmp_path / "eval.json")],
+                 ["predict", str(dataset_path), "--model", model,
+                  "--out", str(tmp_path / "pred.csv")],
+                 ["benchmark", str(data_dir), "--out", str(tmp_path / "out"), "--config", cfg]):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == "", argv[0]
 
 
 class TestUsage:

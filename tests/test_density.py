@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmkde
 from dmkde import (
     DensityMatrix,
     InsufficientDataError,
@@ -13,7 +19,7 @@ from dmkde import (
     merge_density_matrices,
     qde_bruteforce,
 )
-from dmkde.density import _SCORE_CHUNK
+from dmkde.density import _SCORE_CHUNK, _SCORE_LANES
 from tests.conftest import random_unit_vectors
 
 # Row counts around the kernel's block size: empty, one and two rows, and a
@@ -65,7 +71,10 @@ class TestBuild:
            seed=st.integers(0, 2**32 - 1))
     def test_exactly_symmetric_without_symmetrizing(self, n, dim, layout, seed):
         phis = random_unit_vectors(np.random.default_rng(seed), n, dim)
-        expected = phis.T @ phis / n
+        # The build zero-pads the width to whole lanes; so does the reference.
+        padded = np.zeros((n, -(-dim // _SCORE_LANES) * _SCORE_LANES))
+        padded[:, :dim] = phis
+        expected = (padded.T @ padded)[:dim, :dim] / n
         expected = (expected + expected.T) / 2.0
         if layout == "F":
             phis = np.asfortranarray(phis)
@@ -76,6 +85,30 @@ class TestBuild:
         matrix = build_density_matrix(phis).matrix
         assert np.array_equal(matrix, matrix.T)
         assert np.array_equal(matrix, expected)
+
+    def test_identical_across_blas_threads(self):
+        # None of these widths is a multiple of 8; unpadded, each product
+        # differs in its last bits between 1 and 2 OpenBLAS threads.
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from dmkde import build_density_matrix\n"
+            "rng = np.random.default_rng(5)\n"
+            "for dim in (100, 127, 511, 700):\n"
+            "    phi = rng.normal(size=(257, dim))\n"
+            "    phi /= np.linalg.norm(phi, axis=1, keepdims=True)\n"
+            "    print(hashlib.sha256(build_density_matrix(phi).matrix.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(dmkde.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                 text=True, check=True, timeout=60)
+            outputs.append(out.stdout)
+        assert len(outputs[0].split()) == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestMerge:

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,18 @@ from dmkde import (
 from dmkde.rng import stream
 from tests.conftest import two_cluster_spec
 from dmkde import generate_synthetic
+
+
+class TestFitConfig:
+    def test_numpy_scalars_serialize(self):
+        # The fit and benchmark reports write asdict(config) as JSON.
+        cfg = FitConfig(sigma=np.float64(0.5), embed_dim=np.int64(16), use_aff=np.bool_(True),
+                        aff=AffConfig(learning_rate=np.float32(0.25)), seed=np.int64(3),
+                        standardize=np.bool_(False))
+        doc = json.loads(json.dumps(asdict(cfg)))
+        assert (doc["embed_dim"], doc["use_aff"], doc["seed"], doc["standardize"]) == (
+            16, True, 3, False)
+        assert doc["aff"]["learning_rate"] == 0.25
 
 
 class TestComputeThreshold:

@@ -85,6 +85,16 @@ class TestDocument:
         with pytest.raises(ParseError):
             model_from_document(doc)
 
+    # Each value has the wrong JSON type for its field.
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", None), ("input_dim", [2]), ("weights", 123), ("shift", 5),
+    ])
+    def test_wrong_field_type_rejected(self, field, value):
+        doc = model_to_document(make_model())
+        doc[field] = value
+        with pytest.raises(ParseError):
+            model_from_document(doc)
+
     def test_truncated_payload_rejected(self):
         doc = model_to_document(make_model())
         doc["density"] = doc["density"][: len(doc["density"]) // 2]
