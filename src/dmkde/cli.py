@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from . import metrics
 from .dataio import (
     LabeledDataset,
+    SplitIndices,
     SyntheticSpec,
     apply_standardizer,
     fit_standardizer,
@@ -79,37 +80,6 @@ _CONFIG = {
 }
 
 
-@dataclass
-class RunReport:
-    """One run's results, all of them deterministic."""
-
-    dataset: str
-    config: dict
-    split_seed: int
-    split_sizes: dict
-    anomaly_rate: float
-    theta: float
-    eval_split: str
-    metric_values: dict
-    oracle: dict | None = None
-
-    def to_document(self) -> dict:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "dataset": self.dataset,
-            "config": self.config,
-            "split_seed": self.split_seed,
-            "split_sizes": self.split_sizes,
-            "anomaly_rate": self.anomaly_rate,
-            "theta": self.theta,
-            "eval_split": self.eval_split,
-            "metrics": self.metric_values,
-        }
-        if self.oracle is not None:
-            doc["oracle"] = self.oracle
-        return doc
-
-
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -166,8 +136,7 @@ def _settings(args) -> dict:
     values = {key: default for key, (_, default) in _CONFIG.items()}
     if getattr(args, "config", None):
         values.update(read_config(args.config))
-    for key in ("sigma", "embed_dim", "use_aff", "seed", "anomaly_rate",
-                "test_frac", "val_frac"):
+    for key in _CONFIG:  # each flag's dest is its config key
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -210,14 +179,30 @@ def _default_grid(features: np.ndarray, standardize: bool, seed: int) -> list[fl
     return default_sigma_grid(features, seed=seed)
 
 
-def _metric_document(y_true, y_pred) -> dict:
-    c = metrics.confusion(y_true, y_pred)
-    return {
-        "f1_weighted": metrics.f1_weighted(y_true, y_pred),
-        "f1_anomaly": metrics.f1_anomaly(y_true, y_pred),
-        "accuracy": metrics.accuracy(y_true, y_pred),
-        "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
+def _report(ds: LabeledDataset, split: SplitIndices, config: dict, rate: float, theta: float,
+            eval_split: str, pred, oracle: dict | None = None) -> dict:
+    """The report document of one run, scored on ``split``'s ``eval_split`` rows."""
+    truth = ds.labels[getattr(split, eval_split)]
+    c = metrics.confusion(truth, pred)
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "dataset": ds.name,
+        "config": config,
+        "split_seed": split.seed,
+        "split_sizes": {"train": len(split.train), "val": len(split.val), "test": len(split.test)},
+        "anomaly_rate": float(rate),
+        "theta": float(theta),
+        "eval_split": eval_split,
+        "metrics": {
+            "f1_weighted": metrics.f1_weighted(truth, pred),
+            "f1_anomaly": metrics.f1_anomaly(truth, pred),
+            "accuracy": metrics.accuracy(truth, pred),
+            "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
+        },
     }
+    if oracle is not None:
+        doc["oracle"] = oracle
+    return doc
 
 
 def _write_predictions(path, indices, densities, labels, truths) -> None:
@@ -245,37 +230,27 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     save_model(model, out)
-    report = RunReport(
-        dataset=ds.name,
-        config=asdict(cfg),
-        split_seed=settings["seed"],
-        split_sizes={"train": len(split.train), "val": len(split.val), "test": len(split.test)},
-        anomaly_rate=float(rate),
-        theta=float(model.theta),
-        eval_split="val",
-        metric_values=_metric_document(ds.labels[split.val], val_pred),
-    )
+    report = _report(ds, split, asdict(cfg), rate, model.theta, "val", val_pred)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
-    report_path.write_text(canonical_json(report.to_document()), encoding="utf-8")
+    report_path.write_text(canonical_json(report), encoding="utf-8")
     pred_path = Path(args.predictions) if args.predictions else out.with_suffix(".predictions.csv")
     _write_predictions(pred_path, split.val, val_densities, val_pred, ds.labels[split.val])
     print(f"fit {ds.name}: theta={model.theta!r} "
-          f"val_f1_weighted={report.metric_values['f1_weighted']!r} model={out}")
+          f"val_f1_weighted={report['metrics']['f1_weighted']!r} model={out}")
     return EXIT_OK
 
 
 def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
                    test_frac: float = 0.3, val_frac: float = 0.3,
-                   with_oracle: bool = False) -> tuple[RunReport, np.ndarray, np.ndarray, np.ndarray]:
+                   with_oracle: bool = False) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Score the test split of ``ds`` under ``model``.
 
-    Returns the report plus (test indices, densities, predicted labels);
+    Returns the report document plus (test indices, densities, predicted labels);
     shared by ``eval`` and the acceptance suite so both produce identical
     report documents for identical inputs.
     """
     split = stratified_split(ds, test_frac, val_frac, seed)
     test = ds.features[split.test]
-    truth = ds.labels[split.test]
     pred, densities = predict_batch(model, test)
 
     oracle_doc = None
@@ -284,20 +259,11 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
         val = ds.features[split.val]
         oracle_doc = _oracle_comparison(model, train, val, test, pred, densities)
 
-    report = RunReport(
-        dataset=ds.name,
-        config={"sigma": float(model.embedding.sigma),
-                "embed_dim": int(model.embedding.embed_dim),
-                "use_aff": bool(model.use_aff),
-                "standardize": model.shift is not None},
-        split_seed=int(seed),
-        split_sizes={"train": len(split.train), "val": len(split.val), "test": len(split.test)},
-        anomaly_rate=float(model.anomaly_rate),
-        theta=float(model.theta),
-        eval_split="test",
-        metric_values=_metric_document(truth, pred),
-        oracle=oracle_doc,
-    )
+    config = {"sigma": float(model.embedding.sigma),
+              "embed_dim": int(model.embedding.embed_dim),
+              "use_aff": bool(model.use_aff),
+              "standardize": model.shift is not None}
+    report = _report(ds, split, config, model.anomaly_rate, model.theta, "test", pred, oracle_doc)
     return report, split.test, densities, pred
 
 
@@ -322,20 +288,20 @@ def cmd_eval(args) -> int:
         with_oracle=args.oracle,
     )
     report_path = Path(args.report) if args.report else Path(args.data).with_suffix(".eval.json")
-    report_path.write_text(canonical_json(report.to_document()), encoding="utf-8")
+    report_path.write_text(canonical_json(report), encoding="utf-8")
     pred_path = (Path(args.predictions) if args.predictions
                  else report_path.with_suffix(".predictions.csv"))
     _write_predictions(pred_path, test_idx, densities, pred, ds.labels[test_idx])
-    line = (f"eval {ds.name}: test_f1_weighted={report.metric_values['f1_weighted']!r} "
-            f"accuracy={report.metric_values['accuracy']!r}")
-    if report.oracle is not None:
-        line += (f" oracle_agreement={report.oracle['label_agreement']!r}"
-                 f" spearman={report.oracle['spearman']!r}")
+    line = (f"eval {ds.name}: test_f1_weighted={report['metrics']['f1_weighted']!r} "
+            f"accuracy={report['metrics']['accuracy']!r}")
+    if "oracle" in report:
+        line += (f" oracle_agreement={report['oracle']['label_agreement']!r}"
+                 f" spearman={report['oracle']['spearman']!r}")
     print(line)
     return EXIT_OK
 
 
-def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[RunReport, dict, tuple]:
+def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, tuple]:
     """Grid search on train/val, refit on train+val, evaluate on test.
 
     Returns the report, the summary-table row, and the per-sample
@@ -368,16 +334,8 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[RunReport, di
     pred, densities = predict_batch(model, test)
     predictions = (split.test, densities, pred, ds.labels[split.test])
     best_val_f1 = max(row["f1_weighted"] for row in search_report)
-    report = RunReport(
-        dataset=ds.name,
-        config=asdict(best_cfg),
-        split_seed=seed,
-        split_sizes={"train": len(split.train), "val": len(split.val), "test": len(split.test)},
-        anomaly_rate=float(rate),
-        theta=float(model.theta),
-        eval_split="test",
-        metric_values=_metric_document(ds.labels[split.test], pred),
-    )
+    report = _report(ds, split, asdict(best_cfg), rate, model.theta, "test", pred)
+    test_metrics = report["metrics"]
     summary_row = {
         "dataset": ds.name,
         "status": "ok",
@@ -385,9 +343,9 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[RunReport, di
         "embed_dim": int(best_cfg.embed_dim),
         "use_aff": bool(best_cfg.use_aff),
         "val_f1_weighted": best_val_f1,
-        "test_f1_weighted": report.metric_values["f1_weighted"],
-        "test_f1_anomaly": report.metric_values["f1_anomaly"],
-        "test_accuracy": report.metric_values["accuracy"],
+        "test_f1_weighted": test_metrics["f1_weighted"],
+        "test_f1_anomaly": test_metrics["f1_anomaly"],
+        "test_accuracy": test_metrics["accuracy"],
     }
     return report, summary_row, predictions
 
@@ -410,7 +368,7 @@ def cmd_benchmark(args) -> int:
             ds = load_csv(path, label_column=args.label_column)
             report, row, predictions = benchmark_dataset(ds, settings)
             report_path = out_dir / f"{ds.name}.report.json"
-            report_path.write_text(canonical_json(report.to_document()), encoding="utf-8")
+            report_path.write_text(canonical_json(report), encoding="utf-8")
             _write_predictions(out_dir / f"{ds.name}.predictions.csv", *predictions)
         except Exception as exc:  # isolate per-dataset failures
             rows.append({"dataset": path.stem, "status": "failed", "error": str(exc)})

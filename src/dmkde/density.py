@@ -6,7 +6,8 @@ trace 1.  The density estimate for a query embedding is the quadratic
 form ``phi^T R phi``, whose cost depends only on the embedding dimension
 and never on the number of training samples.  Every estimate, single or
 batched, goes through one kernel that scores fixed-size row blocks as a
-matrix product.
+matrix product, under the package's one block rule (``_BLOCK`` below),
+which :mod:`dmkde.embedding` shares.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from .errors import InsufficientDataError, InvalidArgumentError
 _SYMMETRY_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _ENTRY_TOL = 1e-12
-# Every scoring GEMM multiplies a (_SCORE_CHUNK, W) block by a (W, W)
-# matrix, where W is D rounded up to a multiple of _SCORE_LANES.  The block
-# bounds the temporaries to 2 MiB at D=1024 and 8 MiB at D=4096 whatever
-# the batch size, and at D=1024 runs at the GFLOP/s of a 256- or 512-row one.
-_SCORE_CHUNK = 128
-_SCORE_LANES = 8
+# The one fixed-shape block rule.  OpenBLAS picks its kernel from a GEMM's
+# shape (GEMV for one row) and splits a partial tile differently by row
+# position and thread count, so an unpadded row can change in its last bit
+# with its batch or the thread count.  Every GEMM of embed, build and score
+# runs on zero-padded _BLOCK-row blocks with its width rounded up to whole
+# _LANES (_row_blocks, _pad_lanes).  The block bounds scoring temporaries to
+# 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row one.
+_BLOCK = 128
+_LANES = 8
 # The symmetry check compares (_CHECK_TILE, _CHECK_TILE) tiles with their
 # mirrors, so its temporaries stay 128 KiB instead of a D x D difference.
 _CHECK_TILE = 128
@@ -72,6 +76,30 @@ def _max_asymmetry(matrix: np.ndarray) -> float:
     return worst
 
 
+def _pad_lanes(a: np.ndarray, *axes: int) -> np.ndarray:
+    """``a`` zero-padded along ``axes`` to whole lanes; ``a`` itself if aligned."""
+    shape = list(a.shape)
+    for axis in axes:
+        shape[axis] = -(-shape[axis] // _LANES) * _LANES
+    if tuple(shape) == a.shape:
+        return a
+    padded = np.zeros(shape)
+    padded[tuple(slice(0, size) for size in a.shape)] = a
+    return padded
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Yield ``(start, count, block)``: ``rows[start:start + count]`` in the
+    top-left of one reused, zeroed ``(_BLOCK, width)`` buffer."""
+    block = np.zeros((_BLOCK, width))
+    m, dim = rows.shape
+    for start in range(0, m, _BLOCK):
+        count = min(_BLOCK, m - start)
+        block[:count, :dim] = rows[start:start + count]
+        block[count:] = 0.0
+        yield start, count, block
+
+
 def _as_embedding_matrix(embeddings) -> np.ndarray:
     if isinstance(embeddings, np.ndarray) and embeddings.ndim == 2:
         return np.asarray(embeddings, dtype=np.float64)
@@ -90,19 +118,15 @@ def build_density_matrix(embeddings) -> DensityMatrix:
     Accepts a sequence of vectors or an (n, D) array.  The result is
     exactly symmetric: for a C-contiguous ``phi``, numpy computes
     ``phi.T @ phi`` as one triangle (BLAS ``syrk``) and mirrors it, so no
-    explicit symmetrization is needed.  As in the scoring kernel, the
-    width is zero-padded to a multiple of ``_SCORE_LANES``: OpenBLAS
-    splits a partial tile differently with its thread count, so an
-    unpadded product can change in the last bit between 1 and 2 threads.
-    A width that is already a multiple is used as it is, without a copy.
+    explicit symmetrization is needed.  The width is zero-padded to whole
+    lanes by the block rule (see ``_BLOCK``); a width that is already
+    aligned is used as it is, without a copy.
     """
     phi = np.ascontiguousarray(_as_embedding_matrix(embeddings))
     if phi.shape[0] == 0:
         raise InsufficientDataError("cannot build a density matrix from zero embeddings")
     n, dim = phi.shape
-    width = -(-dim // _SCORE_LANES) * _SCORE_LANES
-    if width != dim:
-        phi = np.pad(phi, ((0, 0), (0, width - dim)))
+    phi = _pad_lanes(phi, 1)
     return DensityMatrix((phi.T @ phi)[:dim, :dim] / n, n)
 
 
@@ -143,32 +167,20 @@ def estimate_density(dm: DensityMatrix, phi: np.ndarray) -> float:
 def estimate_density_batch(dm: DensityMatrix, phis) -> np.ndarray:
     """Densities for a sequence of query embeddings, in input order.
 
-    Accepts a sequence of vectors or an (m, D) array.  Rows are copied into
-    a zero-padded block and scored as ``rowsum((block @ R) * block)``.  The
-    padding gives every GEMM one shape, with both sides multiples of 8.
-    OpenBLAS picks its kernel from the shape (GEMV for one row, another
-    kernel for small products) and rounds rows and columns of a partial
-    tile differently, so an unpadded row can change in its last bit with
-    the batch it sits in.  Padded, each density depends only on its own
-    row: a batch equals the per-query calls, and any split of it, bit for
-    bit.  A single query therefore costs one whole block.
+    Accepts a sequence of vectors or an (m, D) array.  Rows are scored as
+    ``rowsum((block @ R) * block)`` in zero-padded blocks, with ``R``
+    padded to whole lanes, by the block rule (see ``_BLOCK``): each
+    density depends only on its own row, so a batch equals the per-query
+    calls, and any split of it, bit for bit.  A single query therefore
+    costs one whole block.
     """
     phis = _as_embedding_matrix(phis)
     if phis.shape == (0, 0):  # an empty sequence carries no width to check
         return np.empty(0)
-    m, dim = phis.shape
-    if dim != dm.embed_dim:
+    if phis.shape[1] != dm.embed_dim:
         raise InvalidArgumentError(f"queries must have shape (m, {dm.embed_dim}), got {phis.shape}")
-    width = -(-dim // _SCORE_LANES) * _SCORE_LANES
-    matrix = dm.matrix
-    if width != dim:
-        matrix = np.zeros((width, width))
-        matrix[:dim, :dim] = dm.matrix
-    block = np.zeros((_SCORE_CHUNK, width))
-    out = np.empty(m)
-    for start in range(0, m, _SCORE_CHUNK):
-        rows = min(_SCORE_CHUNK, m - start)
-        block[:rows, :dim] = phis[start:start + rows]
-        block[rows:] = 0.0
-        out[start:start + rows] = np.einsum("ij,ij->i", block @ matrix, block)[:rows]
+    matrix = _pad_lanes(dm.matrix, 0, 1)
+    out = np.empty(phis.shape[0])
+    for start, count, block in _row_blocks(phis, matrix.shape[0]):
+        out[start:start + count] = np.einsum("ij,ij->i", block @ matrix, block)[:count]
     return out

@@ -5,7 +5,9 @@ drawn from N(0, 1/sigma^2 I) (the spectral density of the Gaussian
 kernel with bandwidth ``sigma``) and ``b`` uniform on [0, 2*pi).  Inner
 products of raw embeddings then approximate
 ``k(x, y) = exp(-||x - y||^2 / (2 sigma^2))``, and the final embedding
-normalizes ``z(x)`` to unit length.
+normalizes ``z(x)`` to unit length.  :func:`embed` follows the
+package's one fixed-shape block rule, defined in :mod:`dmkde.density`
+(see ``_BLOCK`` there), so a row's embedding does not depend on its batch.
 
 :func:`train_aff` refines ``W`` and ``b`` by full-batch gradient descent
 on a pairwise kernel-matching loss, turning the random features into
@@ -18,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .density import _BLOCK, _pad_lanes, _row_blocks
 from .errors import DegenerateEmbeddingError, InsufficientDataError, InvalidArgumentError
 from .rng import (
     DOMAIN_AFF_HOLDOUT,
@@ -30,14 +33,6 @@ from .rng import (
 )
 
 _TWO_PI = 2.0 * np.pi
-
-# Rows per block in :func:`embed` and in the AFF kernel.  A block of 128
-# rows and D features holds 1 MiB at D=1024.  Embedding pads every block
-# to this many rows and its width to a multiple of _LANES, so each GEMM has
-# one shape made of whole tiles and a row's result does not depend on the
-# batch it sits in (OpenBLAS sends one row to GEMV, which rounds differently).
-_BLOCK = 128
-_LANES = 8
 
 
 @dataclass
@@ -102,7 +97,12 @@ class AffConfig:
     max_retries: int = 3
 
     def __post_init__(self):
+        self.num_pairs = int(self.num_pairs)
+        self.epochs = int(self.epochs)
         self.learning_rate = float(self.learning_rate)
+        self.seed = int(self.seed)
+        self.holdout_pairs = int(self.holdout_pairs)
+        self.max_retries = int(self.max_retries)
         if self.num_pairs < 1:
             raise InvalidArgumentError("num_pairs must be >= 1")
         if self.epochs < 0:
@@ -148,24 +148,15 @@ def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.n
     """Cosine features of ``x``, one zero-padded block of rows at a time.
 
     Every GEMM is ``(_BLOCK, d) @ (d, W)`` with W the embedding width
-    rounded up to a multiple of ``_LANES``.  OpenBLAS rounds a partial
-    column tile differently by row position, so without that padding a
-    row's phase could change with its place in the block.
+    padded to whole lanes, by the block rule of :mod:`dmkde.density`.
     """
     x = _check_inputs(params, x)
     rows = np.atleast_2d(x)
-    m = rows.shape[0]
     dim = params.embed_dim
-    width = -(-dim // _LANES) * _LANES
-    weights_t = np.zeros((params.input_dim, width))
-    weights_t[:, :dim] = params.weights.T
+    weights_t = _pad_lanes(params.weights.T, 1)
     scale = np.sqrt(2.0 / dim)
-    block = np.zeros((_BLOCK, params.input_dim))
-    out = np.empty((m, dim))
-    for start in range(0, m, _BLOCK):
-        count = min(_BLOCK, m - start)
-        block[:count] = rows[start:start + count]
-        block[count:] = 0.0
+    out = np.empty((rows.shape[0], dim))
+    for start, count, block in _row_blocks(rows, params.input_dim):
         raw = (block @ weights_t)[:count, :dim]
         raw += params.offsets
         np.cos(raw, out=raw)
@@ -398,12 +389,7 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> Em
     pi, pj = _sample_pair_indices(stream(cfg.seed, DOMAIN_AFF_PAIRS), n, cfg.num_pairs)
     hi, hj = _sample_pair_indices(stream(cfg.seed, DOMAIN_AFF_HOLDOUT), n, cfg.holdout_pairs)
     # Keep the holdout sample disjoint from the training pairs where possible.
-    train_set = set(zip(pi.tolist(), pj.tolist()))
-    keep = np.fromiter(
-        ((a, b) not in train_set for a, b in zip(hi.tolist(), hj.tolist())),
-        dtype=bool,
-        count=len(hi),
-    )
+    keep = ~np.isin(hi * n + hj, pi * n + pj)
     if keep.any():
         hi, hj = hi[keep], hj[keep]
 

@@ -51,6 +51,14 @@ def _decode(text: str | None, shape: tuple[int, ...]):
     return arr.reshape(shape)
 
 
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must have the JSON type ``kind``; a bool is no int."""
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"model field {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def model_to_document(model: DetectorModel) -> dict:
     return {
         "format": FORMAT_NAME,
@@ -76,9 +84,9 @@ def model_from_document(doc: dict) -> DetectorModel:
     if doc.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported model version {doc.get('version')!r}")
     try:
-        d = int(doc["input_dim"])
-        embed_dim = int(doc["embed_dim"])
-        n = int(doc["sample_count"])
+        d = _field(doc, "input_dim", int)
+        embed_dim = _field(doc, "embed_dim", int)
+        n = _field(doc, "sample_count", int)
         embedding = EmbeddingParams(
             weights=_decode(doc["weights"], (embed_dim, d)),
             offsets=_decode(doc["offsets"], (embed_dim,)),
@@ -92,7 +100,7 @@ def model_from_document(doc: dict) -> DetectorModel:
             dm=dm,
             theta=float(doc["theta"]),
             anomaly_rate=float(doc["anomaly_rate"]),
-            use_aff=bool(doc["use_aff"]),
+            use_aff=_field(doc, "use_aff", bool),
             shift=_decode(doc["shift"], (d,)),
             scale=_decode(doc["scale"], (d,)),
         )

@@ -245,7 +245,7 @@ def test_criterion_9_determinism_and_serialization(capsys, tmp_path, two_cluster
         path = tmp_path / f"model_{seed}.json"
         dmkde.save_model(model, path)
         restored, _, _, _ = evaluate_model(dmkde.load_model(path), ds, seed)
-        if canonical_json(direct.to_document()) != canonical_json(restored.to_document()):
+        if canonical_json(direct) != canonical_json(restored):
             mismatches.append(seed)
     ok = not mismatches
     announce(capsys, 9, ok, f"seeds with report mismatch: {mismatches or 'none'}")

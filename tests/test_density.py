@@ -19,13 +19,12 @@ from dmkde import (
     merge_density_matrices,
     qde_bruteforce,
 )
-from dmkde.density import _SCORE_CHUNK, _SCORE_LANES
+from dmkde.density import _BLOCK, _LANES
 from tests.conftest import random_unit_vectors
 
 # Row counts around the kernel's block size: empty, one and two rows, and a
 # last block that is one row short, full, or a single row.
-KERNEL_ROW_COUNTS = (0, 1, 2, _SCORE_CHUNK - 1, _SCORE_CHUNK, _SCORE_CHUNK + 1,
-                     2 * _SCORE_CHUNK + 1)
+KERNEL_ROW_COUNTS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 class TestBuild:
@@ -72,7 +71,7 @@ class TestBuild:
     def test_exactly_symmetric_without_symmetrizing(self, n, dim, layout, seed):
         phis = random_unit_vectors(np.random.default_rng(seed), n, dim)
         # The build zero-pads the width to whole lanes; so does the reference.
-        padded = np.zeros((n, -(-dim // _SCORE_LANES) * _SCORE_LANES))
+        padded = np.zeros((n, -(-dim // _LANES) * _LANES))
         padded[:, :dim] = phis
         expected = (padded.T @ padded)[:dim, :dim] / n
         expected = (expected + expected.T) / 2.0
@@ -88,15 +87,21 @@ class TestBuild:
 
     def test_identical_across_blas_threads(self):
         # None of these widths is a multiple of 8; unpadded, each product
-        # differs in its last bits between 1 and 2 OpenBLAS threads.
+        # differs in its last bits between 1 and 2 OpenBLAS threads.  The
+        # probe covers the three users of the block rule: embed, build, score.
         probe = (
             "import hashlib, numpy as np\n"
-            "from dmkde import build_density_matrix\n"
+            "from dmkde import build_density_matrix, embed, estimate_density_batch\n"
+            "from dmkde import sample_rff_params\n"
             "rng = np.random.default_rng(5)\n"
             "for dim in (100, 127, 511, 700):\n"
             "    phi = rng.normal(size=(257, dim))\n"
             "    phi /= np.linalg.norm(phi, axis=1, keepdims=True)\n"
-            "    print(hashlib.sha256(build_density_matrix(phi).matrix.tobytes()).hexdigest())\n"
+            "    dm = build_density_matrix(phi)\n"
+            "    params = sample_rff_params(3, dim, 1.0, seed=dim)\n"
+            "    embedded = embed(params, rng.normal(size=(257, 3)))\n"
+            "    for out in (dm.matrix, embedded, estimate_density_batch(dm, phi)):\n"
+            "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
         )
         src = str(Path(dmkde.__file__).resolve().parent.parent)
         outputs = []
@@ -107,7 +112,7 @@ class TestBuild:
             out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                  text=True, check=True, timeout=60)
             outputs.append(out.stdout)
-        assert len(outputs[0].split()) == 4
+        assert len(outputs[0].split()) == 12
         assert outputs[0] == outputs[1]
 
 

@@ -28,13 +28,15 @@ from dmkde import generate_synthetic
 class TestFitConfig:
     def test_numpy_scalars_serialize(self):
         # The fit and benchmark reports write asdict(config) as JSON.
+        aff = AffConfig(num_pairs=np.int64(5), epochs=np.int64(2), learning_rate=np.float32(0.25),
+                        seed=np.int64(7), holdout_pairs=np.int64(4), max_retries=np.int64(1))
         cfg = FitConfig(sigma=np.float64(0.5), embed_dim=np.int64(16), use_aff=np.bool_(True),
-                        aff=AffConfig(learning_rate=np.float32(0.25)), seed=np.int64(3),
-                        standardize=np.bool_(False))
+                        aff=aff, seed=np.int64(3), standardize=np.bool_(False))
         doc = json.loads(json.dumps(asdict(cfg)))
         assert (doc["embed_dim"], doc["use_aff"], doc["seed"], doc["standardize"]) == (
             16, True, 3, False)
-        assert doc["aff"]["learning_rate"] == 0.25
+        assert doc["aff"] == {"num_pairs": 5, "epochs": 2, "learning_rate": 0.25, "seed": 7,
+                              "holdout_pairs": 4, "max_retries": 1}
 
 
 class TestComputeThreshold:

@@ -88,6 +88,7 @@ class TestDocument:
     # Each value has the wrong JSON type for its field.
     @pytest.mark.parametrize("field, value", [
         ("sigma", None), ("input_dim", [2]), ("weights", 123), ("shift", 5),
+        ("use_aff", "false"), ("sample_count", 40.9), ("input_dim", "3"),
     ])
     def test_wrong_field_type_rejected(self, field, value):
         doc = model_to_document(make_model())
