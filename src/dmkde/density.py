@@ -24,15 +24,12 @@ _ENTRY_TOL = 1e-12
 # The one fixed-shape block rule.  OpenBLAS picks its kernel from a GEMM's
 # shape (GEMV for one row) and splits a partial tile differently by row
 # position and thread count, so an unpadded row can change in its last bit
-# with its batch or the thread count.  Every GEMM of embed, build and score
-# runs on zero-padded _BLOCK-row blocks with its width rounded up to whole
+# with its batch or the thread count.  Every GEMM of embed, AFF, build and
+# score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
 # _LANES (_row_blocks, _pad_lanes).  The block bounds scoring temporaries to
 # 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row one.
 _BLOCK = 128
 _LANES = 8
-# The symmetry check compares (_CHECK_TILE, _CHECK_TILE) tiles with their
-# mirrors, so its temporaries stay 128 KiB instead of a D x D difference.
-_CHECK_TILE = 128
 
 
 @dataclass
@@ -65,13 +62,13 @@ class DensityMatrix:
 
 
 def _max_asymmetry(matrix: np.ndarray) -> float:
-    """Exact ``max |M - M^T|``, one tile pair (I, J) with I <= J at a time."""
+    """Exact ``max |M - M^T|``, one 128 KiB ``_BLOCK``-square tile pair at a time."""
     dim = matrix.shape[0]
     worst = 0.0
-    for i in range(0, dim, _CHECK_TILE):
-        for j in range(i, dim, _CHECK_TILE):
-            upper = matrix[i:i + _CHECK_TILE, j:j + _CHECK_TILE]
-            lower = matrix[j:j + _CHECK_TILE, i:i + _CHECK_TILE]
+    for i in range(0, dim, _BLOCK):
+        for j in range(i, dim, _BLOCK):
+            upper = matrix[i:i + _BLOCK, j:j + _BLOCK]
+            lower = matrix[j:j + _BLOCK, i:i + _BLOCK]
             worst = max(worst, float(np.max(np.abs(upper - lower.T))))
     return worst
 

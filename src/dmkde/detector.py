@@ -24,6 +24,7 @@ from .rng import DOMAIN_REFIT_SPLIT, stream
 
 NORMAL = 0
 ANOMALY = 1
+_REFIT_VAL_FRAC = 0.3
 
 
 @dataclass
@@ -86,6 +87,10 @@ class DetectorModel:
             d = self.embedding.input_dim
             if self.shift.shape != (d,) or self.scale.shape != (d,):
                 raise InvalidArgumentError("standardization vectors must have length input_dim")
+            # As fit_standardizer makes them; else predict would blame the input.
+            finite = np.isfinite(self.shift).all() and np.isfinite(self.scale).all()
+            if not (finite and (self.scale > 0).all()):
+                raise InvalidArgumentError("shift must be finite, scale finite and positive")
 
     @property
     def input_dim(self) -> int:
@@ -268,22 +273,21 @@ def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
     return best_cfg, report
 
 
-def fit_with_internal_split(features: np.ndarray, anomaly_rate: float, cfg: FitConfig,
-                            val_frac: float = 0.3) -> DetectorModel:
+def fit_with_internal_split(features: np.ndarray, anomaly_rate: float,
+                            cfg: FitConfig) -> DetectorModel:
     """Fit on one feature matrix, holding out a slice for the threshold.
 
     Used when a search phase already consumed the designated validation
-    set: the rows are shuffled with the fit seed and ``val_frac`` of them
-    calibrate the threshold while the rest build the density matrix.
+    set: the rows are shuffled with the fit seed and 30% of them
+    (``_REFIT_VAL_FRAC``) calibrate the threshold while the rest build the
+    density matrix.
     """
     features = _prepare_features(features)
     m = features.shape[0]
     if m < 2:
         raise InsufficientDataError("need at least 2 samples to split off a calibration set")
-    if not (0.0 < val_frac < 1.0):
-        raise InvalidArgumentError("val_frac must lie in (0, 1)")
     perm = stream(cfg.seed, DOMAIN_REFIT_SPLIT).permutation(m)
-    n_val = min(max(1, int(math.floor(val_frac * m + 0.5))), m - 1)
+    n_val = min(max(1, int(math.floor(_REFIT_VAL_FRAC * m + 0.5))), m - 1)
     val = features[perm[:n_val]]
     train = features[perm[n_val:]]
     model, _ = fit(train, val, anomaly_rate, cfg)

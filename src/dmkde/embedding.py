@@ -33,6 +33,7 @@ from .rng import (
 )
 
 _TWO_PI = 2.0 * np.pi
+_SIGMA_SUBSET = 1000
 
 
 @dataclass
@@ -144,24 +145,30 @@ def _check_inputs(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
-    """Cosine features of ``x``, one zero-padded block of rows at a time.
+def _phases(weights: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+    """Yield ``(start, count, rows[start:start + count] @ W^T + b)``.
 
-    Every GEMM is ``(_BLOCK, d) @ (d, W)`` with W the embedding width
-    padded to whole lanes, by the block rule of :mod:`dmkde.density`.
+    Every GEMM is ``(_BLOCK, d) @ (d, W)`` with W the embedding width padded
+    to whole lanes, by the block rule of :mod:`dmkde.density`.  Takes bare
+    arrays, as training moves ``offsets`` outside [0, 2*pi) mid-run.
     """
+    dim = weights.shape[0]
+    weights_t = _pad_lanes(weights.T, 1)
+    for start, count, block in _row_blocks(rows, weights.shape[1]):
+        phase = (block @ weights_t)[:count, :dim]
+        phase += offsets
+        yield start, count, phase
+
+
+def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
+    """Cosine features of ``x``, one zero-padded block of rows at a time."""
     x = _check_inputs(params, x)
     rows = np.atleast_2d(x)
-    dim = params.embed_dim
-    weights_t = _pad_lanes(params.weights.T, 1)
-    scale = np.sqrt(2.0 / dim)
-    out = np.empty((rows.shape[0], dim))
-    for start, count, block in _row_blocks(rows, params.input_dim):
-        raw = (block @ weights_t)[:count, :dim]
-        raw += params.offsets
+    scale = np.sqrt(2.0 / params.embed_dim)
+    out = np.empty((rows.shape[0], params.embed_dim))
+    for start, count, raw in _phases(params.weights, params.offsets, rows):
         np.cos(raw, out=raw)
         raw *= scale
-        # Only real rows are normalized: padding rows are never checked.
         out[start:start + count] = _normalize_rows(raw) if normalize else raw
     return out if x.ndim == 2 else out[0]
 
@@ -221,15 +228,17 @@ class _PairSet:
     block_ends: np.ndarray
 
 
-def _pair_set(rows, left, right, targets) -> _PairSet:
-    """Index the pair ends by owning row, once for every later kernel call."""
-    n_pairs = left.shape[0]
-    owner = np.concatenate([left, right])
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    block_starts = np.arange(0, rows.shape[0] + _BLOCK, _BLOCK)
+def _pair_set(features, i, j, targets) -> _PairSet:
+    """Pairs ``(features[i[p]], features[j[p]])`` over the distinct rows they
+    use, every pair end indexed by its row once for all later kernel calls."""
+    n_pairs = i.shape[0]
+    used, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
+    left, right = ends[:n_pairs], ends[n_pairs:]
+    order = np.argsort(ends, kind="stable")
+    owner = ends[order]
+    block_starts = np.arange(0, used.shape[0] + _BLOCK, _BLOCK)
     return _PairSet(
-        rows=rows,
+        rows=features[used],
         left=left,
         right=right,
         targets=targets,
@@ -238,20 +247,6 @@ def _pair_set(rows, left, right, targets) -> _PairSet:
         pair=np.tile(np.arange(n_pairs), 2)[order],
         block_ends=np.searchsorted(owner, block_starts),
     )
-
-
-def _sampled_pair_set(features, i, j, sigma) -> _PairSet:
-    """Pairs ``(features[i[p]], features[j[p]])`` over the rows they use."""
-    n_pairs = i.shape[0]
-    used, inverse = np.unique(np.concatenate([i, j]), return_inverse=True)
-    targets = gaussian_kernel(features[i], features[j], sigma)
-    return _pair_set(features[used], inverse[:n_pairs], inverse[n_pairs:], targets)
-
-
-def _phase(weights, offsets, rows) -> np.ndarray:
-    phase = rows @ weights.T
-    phase += offsets
-    return phase
 
 
 def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
@@ -264,18 +259,16 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
     ``agg``; then ``G = sin(rows W^T + b) * agg``, ``grad_w = -(2/D) G^T rows``
     and ``grad_b = -(2/D) sum(G)``.  Trig work scales with the distinct
     rows, not with the pairs, and every temporary beyond the cosine table
-    is a block of ``_BLOCK`` rows.
+    is a block of ``_BLOCK`` rows.  Both passes take their phases from
+    :func:`_phases`, so a row's sine and cosine come from one phase.
     """
     n_rows, n_pairs = pairs.rows.shape[0], pairs.left.shape[0]
     embed_dim = weights.shape[0]
     scale = 2.0 / embed_dim
 
-    # Phases are built in the same row blocks here and for the sines
-    # below, so a row's sine and cosine come from one phase.
     cos_table = np.empty((n_rows, embed_dim))
-    for start in range(0, n_rows, _BLOCK):
-        stop = min(start + _BLOCK, n_rows)
-        np.cos(_phase(weights, offsets, pairs.rows[start:stop]), out=cos_table[start:stop])
+    for start, count, phase in _phases(weights, offsets, pairs.rows):
+        np.cos(phase, out=cos_table[start:start + count])
 
     # Gathers write into these buffers.  With mode="raise" np.take copies
     # through a temporary; every index here is in range, so "clip" is safe.
@@ -301,9 +294,8 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(offsets)
     agg = buf_b  # free once the Gram values are in
-    for k, start in enumerate(range(0, n_rows, _BLOCK)):
-        stop = min(start + _BLOCK, n_rows)
-        agg[:stop - start] = 0.0
+    for k, (start, count, g) in enumerate(_phases(weights, offsets, pairs.rows)):
+        agg[:count] = 0.0
         # This row block owns a contiguous run of the sorted ends; take it
         # 128 ends at a time and sum each owning row's segment.  np.add.reduce
         # per segment adds rows in the same order as np.add.reduceat(axis=0)
@@ -317,11 +309,9 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
             firsts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
             for first, end in zip(firsts, firsts[1:] + [hi - lo]):
                 agg[owners[first] - start] += np.add.reduce(terms[first:end], axis=0)
-        rows = pairs.rows[start:stop]
-        g = _phase(weights, offsets, rows)
         np.sin(g, out=g)
-        g *= agg[:stop - start]
-        grad_w += g.T @ rows
+        g *= agg[:count]
+        grad_w += g.T @ pairs.rows[start:start + count]
         grad_b += np.sum(g, axis=0)
     grad_w *= -scale
     grad_b *= -scale
@@ -393,8 +383,9 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> Em
     if keep.any():
         hi, hj = hi[keep], hj[keep]
 
-    train_pairs = _sampled_pair_set(features, pi, pj, init.sigma)
-    hold_pairs = _sampled_pair_set(features, hi, hj, init.sigma)
+    train_pairs, hold_pairs = (
+        _pair_set(features, i, j, gaussian_kernel(features[i], features[j], init.sigma))
+        for i, j in ((pi, pj), (hi, hj)))
 
     def holdout_mse(weights, offsets):
         return _pair_kernel(weights, offsets, hold_pairs, False)[0]
@@ -435,18 +426,18 @@ def _pairwise_distances(features: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def default_sigma_grid(features: np.ndarray, subset_size: int = 1000, seed: int = 0) -> list[float]:
+def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
     """Candidate bandwidths around the median pairwise distance.
 
     Returns ``{2^k * median : k in -2..2}`` computed on a seeded subset
-    of at most ``subset_size`` rows.  A zero median (all points equal)
-    falls back to 1.0 so the grid stays usable.
+    of at most ``_SIGMA_SUBSET`` (1000) rows.  A zero median (all points
+    equal) falls back to 1.0 so the grid stays usable.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
         raise InsufficientDataError("need at least 2 samples to estimate a bandwidth grid")
-    if features.shape[0] > subset_size:
-        idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(features.shape[0], subset_size, replace=False)
+    if features.shape[0] > _SIGMA_SUBSET:
+        idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(len(features), _SIGMA_SUBSET, replace=False)
         features = features[np.sort(idx)]
     median = float(np.median(_pairwise_distances(features)))
     if median <= 0.0:

@@ -52,10 +52,13 @@ def _decode(text: str | None, shape: tuple[int, ...]):
 
 
 def _field(doc: dict, key: str, kind: type):
-    """``doc[key]``, which must have the JSON type ``kind``; a bool is no int."""
+    """``doc[key]``, which must have the JSON type ``kind``: a ``float`` field
+    takes any JSON number, ``-Infinity`` included, and a bool is no number."""
     value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"model field {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+        name = "number" if kind is float else kind.__name__
+        raise ParseError(f"model field {key!r} must be a JSON {name}, got {value!r}")
     return value
 
 
@@ -81,16 +84,16 @@ def model_to_document(model: DetectorModel) -> dict:
 def model_from_document(doc: dict) -> DetectorModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported model version {doc.get('version')!r}")
     try:
+        if _field(doc, "version", int) != FORMAT_VERSION:
+            raise ParseError(f"unsupported model version {doc['version']!r}")
         d = _field(doc, "input_dim", int)
         embed_dim = _field(doc, "embed_dim", int)
         n = _field(doc, "sample_count", int)
         embedding = EmbeddingParams(
             weights=_decode(doc["weights"], (embed_dim, d)),
             offsets=_decode(doc["offsets"], (embed_dim,)),
-            sigma=float(doc["sigma"]),
+            sigma=_field(doc, "sigma", float),
             input_dim=d,
             embed_dim=embed_dim,
         )
@@ -98,15 +101,15 @@ def model_from_document(doc: dict) -> DetectorModel:
         return DetectorModel(
             embedding=embedding,
             dm=dm,
-            theta=float(doc["theta"]),
-            anomaly_rate=float(doc["anomaly_rate"]),
+            theta=_field(doc, "theta", float),
+            anomaly_rate=_field(doc, "anomaly_rate", float),
             use_aff=_field(doc, "use_aff", bool),
             shift=_decode(doc["shift"], (d,)),
             scale=_decode(doc["scale"], (d,)),
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"model document is invalid: {exc}") from exc

@@ -10,6 +10,7 @@ import pytest
 import dmkde
 from dmkde import f1_weighted, load_csv, load_model
 from dmkde.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from dmkde.modelio import model_to_document
 
 SPEC_DOC = {
     "name": "two_cluster",
@@ -186,6 +187,14 @@ class TestEval:
         doc["sigma"] = None
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", str(dataset_path), "--model", str(bad),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
+
+    def test_zero_scale_model_is_parse_error(self, tmp_path, dataset_path, fitted):
+        model = load_model(fitted)
+        model.scale = np.zeros_like(model.scale)
+        bad = tmp_path / "zero_scale.json"
+        bad.write_text(json.dumps(model_to_document(model)), encoding="utf-8")
         assert main(["eval", str(dataset_path), "--model", str(bad),
                      "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
 

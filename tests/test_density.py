@@ -88,11 +88,14 @@ class TestBuild:
     def test_identical_across_blas_threads(self):
         # None of these widths is a multiple of 8; unpadded, each product
         # differs in its last bits between 1 and 2 OpenBLAS threads.  The
-        # probe covers the three users of the block rule: embed, build, score.
+        # probe covers the users of the block rule: embed, build, score, and
+        # the AFF kernel's loss and gradients over pair sets whose last row
+        # block holds 1 and 2 rows.
         probe = (
             "import hashlib, numpy as np\n"
             "from dmkde import build_density_matrix, embed, estimate_density_batch\n"
-            "from dmkde import sample_rff_params\n"
+            "from dmkde import gaussian_kernel, sample_rff_params\n"
+            "from dmkde.embedding import _pair_kernel, _pair_set\n"
             "rng = np.random.default_rng(5)\n"
             "for dim in (100, 127, 511, 700):\n"
             "    phi = rng.normal(size=(257, dim))\n"
@@ -101,6 +104,14 @@ class TestBuild:
             "    params = sample_rff_params(3, dim, 1.0, seed=dim)\n"
             "    embedded = embed(params, rng.normal(size=(257, 3)))\n"
             "    for out in (dm.matrix, embedded, estimate_density_batch(dm, phi)):\n"
+            "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+            "    for n in (129, 130):\n"
+            "        x = rng.normal(size=(n, 3))\n"
+            "        i = np.arange(n)\n"
+            "        j = (i + 1) % n\n"
+            "        pairs = _pair_set(x, i, j, gaussian_kernel(x[i], x[j], 1.0))\n"
+            "        loss, gw, gb = _pair_kernel(params.weights, params.offsets, pairs, True)\n"
+            "        out = np.concatenate([[loss], gw.ravel(), gb])\n"
             "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
         )
         src = str(Path(dmkde.__file__).resolve().parent.parent)
@@ -112,7 +123,7 @@ class TestBuild:
             out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                  text=True, check=True, timeout=60)
             outputs.append(out.stdout)
-        assert len(outputs[0].split()) == 12
+        assert len(outputs[0].split()) == 20
         assert outputs[0] == outputs[1]
 
 

@@ -22,8 +22,8 @@ from dmkde.embedding import (
     _loss_and_grad,
     _normalize_rows,
     _pair_kernel,
+    _pair_set,
     _pairwise_distances,
-    _sampled_pair_set,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -304,7 +304,7 @@ class TestPairKernel:
         targets = gaussian_kernel(x, y, sigma)
         reference = per_pair_reference(w, b, x, y, targets)
 
-        distinct = _pair_kernel(w, b, _sampled_pair_set(features, i, j, sigma), True)
+        distinct = _pair_kernel(w, b, _pair_set(features, i, j, targets), True)
         per_end = _loss_and_grad(w, b, x, y, targets, True)
         for got in (distinct, per_end):
             for value, (expected, scale) in zip(got, reference):
@@ -314,7 +314,8 @@ class TestPairKernel:
     def test_pair_set_uses_distinct_rows(self):
         i = np.array([3, 3, 7, 3])
         j = np.array([7, 9, 3, 7])
-        pairs = _sampled_pair_set(np.arange(20.0)[:, None], i, j, 1.0)
+        features = np.arange(20.0)[:, None]
+        pairs = _pair_set(features, i, j, gaussian_kernel(features[i], features[j], 1.0))
         assert np.array_equal(pairs.rows[:, 0], [3.0, 7.0, 9.0])
         assert np.array_equal(pairs.rows[pairs.left, 0], i)
         assert np.array_equal(pairs.rows[pairs.right, 0], j)

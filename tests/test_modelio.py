@@ -89,12 +89,39 @@ class TestDocument:
     @pytest.mark.parametrize("field, value", [
         ("sigma", None), ("input_dim", [2]), ("weights", 123), ("shift", 5),
         ("use_aff", "false"), ("sample_count", 40.9), ("input_dim", "3"),
+        ("sigma", "1.2"), ("theta", True), ("anomaly_rate", "0.1"), ("version", True),
+        ("version", 1.0),
     ])
     def test_wrong_field_type_rejected(self, field, value):
         doc = model_to_document(make_model())
         doc[field] = value
         with pytest.raises(ParseError):
             model_from_document(doc)
+
+    def test_integer_number_accepted_for_float_field(self):
+        doc = model_to_document(make_model())
+        doc["sigma"] = 2
+        assert model_from_document(doc).embedding.sigma == 2.0
+
+    @pytest.mark.parametrize("field", ["sigma", "theta", "anomaly_rate"])
+    def test_integer_beyond_float_range_rejected(self, field):
+        doc = model_to_document(make_model())
+        doc[field] = 10 ** 400
+        with pytest.raises(ParseError):
+            model_from_document(doc)
+
+    # fit_standardizer gives a finite shift and a finite, positive scale.
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 0.0), ("scale", -1.0), ("scale", np.nan), ("scale", np.inf),
+        ("shift", np.inf), ("shift", np.nan),
+    ])
+    def test_bad_standardizer_rejected(self, field, value):
+        model = make_model()
+        vector = getattr(model, field).copy()
+        vector[1] = value
+        setattr(model, field, vector)
+        with pytest.raises(ParseError):
+            model_from_document(model_to_document(model))
 
     def test_truncated_payload_rejected(self):
         doc = model_to_document(make_model())
