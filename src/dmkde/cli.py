@@ -57,8 +57,7 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
 # Config key -> (kind, default).  None means: derived at run time (sigma
-# and the grids from the data, anomaly_rate from the labels, aff_seed
-# from seed).
+# and the grids from the data, anomaly_rate from the labels).
 _CONFIG = {
     "sigma": ("float", None),
     "embed_dim": ("int", 1024),
@@ -71,7 +70,6 @@ _CONFIG = {
     "aff_num_pairs": ("int", AffConfig.num_pairs),
     "aff_epochs": ("int", AffConfig.epochs),
     "aff_learning_rate": ("float", AffConfig.learning_rate),
-    "aff_seed": ("int", None),
     "aff_holdout_pairs": ("int", AffConfig.holdout_pairs),
     "aff_max_retries": ("int", AffConfig.max_retries),
     "grid_sigma": ("float_list", None),
@@ -146,12 +144,10 @@ def _settings(args) -> dict:
 
 
 def _aff_config(settings: dict) -> AffConfig:
-    aff_seed = settings["aff_seed"]
     return AffConfig(
         num_pairs=settings["aff_num_pairs"],
         epochs=settings["aff_epochs"],
         learning_rate=settings["aff_learning_rate"],
-        seed=settings["seed"] if aff_seed is None else aff_seed,
         holdout_pairs=settings["aff_holdout_pairs"],
         max_retries=settings["aff_max_retries"],
     )
@@ -420,11 +416,17 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    parser.add_argument("--config", default=None, help="flat key-value config file")
-    parser.add_argument("--label-column", default=None,
-                        help="label column name (default: last column)")
+_COMMON_FLAGS = {
+    "--seed": {"type": int, "help": "run seed (default 0)"},
+    "--config": {"help": "flat key-value config file"},
+    "--label-column": {"help": "label column name (default: last column)"},
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, flags=tuple(_COMMON_FLAGS)) -> None:
+    """Add the shared flags a command reads; a flag it ignores is a usage error."""
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,14 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic benchmark dataset")
     p.add_argument("spec", help="JSON synthetic-data spec")
     p.add_argument("--out", required=True, help="CSV path to write")
-    _add_common(p)
+    _add_common(p, ["--seed"])
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("predict", help="score every row of a dataset under a saved model")
     p.add_argument("data", help="labeled CSV dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="per-sample CSV path")
-    _add_common(p)
+    _add_common(p, ["--label-column"])
     p.set_defaults(func=cmd_predict)
 
     return parser

@@ -24,6 +24,21 @@ from .errors import (
 from .rng import DOMAIN_SPLIT, DOMAIN_SYNTHETIC, standard_normal, stream
 
 
+def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndarray:
+    """``x`` as a float64 feature matrix: 2-D, ``columns`` wide when given,
+    at least ``min_rows`` rows, every value finite.  The package's one rule
+    for a matrix input with one sample per row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or (columns is not None and x.shape[1] != columns):
+        width = "" if columns is None else f" with {columns} columns"
+        raise InvalidArgumentError(f"expected a 2-D feature matrix{width}, got shape {x.shape}")
+    if x.shape[0] < min_rows:
+        raise InsufficientDataError(f"need at least {min_rows} rows, got {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("features contain non-finite values")
+    return x
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with {0 normal, 1 anomaly} labels."""
@@ -33,14 +48,10 @@ class LabeledDataset:
     name: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _feature_matrix(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise InvalidArgumentError("features must be a 2-D matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise InvalidArgumentError("labels must be a vector aligned with feature rows")
-        if not np.all(np.isfinite(self.features)):
-            raise InvalidArgumentError("features contain non-finite values")
         if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
             raise InvalidArgumentError("labels must be 0 or 1")
 
@@ -167,12 +178,18 @@ def stratified_split(ds: LabeledDataset, test_frac: float = 0.3, val_frac: float
 
 
 def fit_standardizer(features: np.ndarray):
-    """Per-column mean and standard deviation (constant columns get scale 1)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise InsufficientDataError("standardization needs at least 2 rows")
+    """Per-column mean and standard deviation (constant columns get scale 1).
+
+    A column whose squares overflow (values near 1e160 and up) has its
+    deviation taken on the column over its largest magnitude, then scaled back.
+    """
+    features = _feature_matrix(features, min_rows=2)
     shift = features.mean(axis=0)
-    scale = features.std(axis=0)
+    with np.errstate(over="ignore"):
+        scale = features.std(axis=0)
+    for col in np.flatnonzero(~np.isfinite(scale)):
+        peak = np.max(np.abs(features[:, col]))
+        scale[col] = (features[:, col] / peak).std() * peak
     scale = np.where(scale == 0.0, 1.0, scale)
     return shift, scale
 

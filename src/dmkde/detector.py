@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import metrics
-from .dataio import apply_standardizer, fit_standardizer
+from .dataio import _feature_matrix, apply_standardizer, fit_standardizer
 from .density import DensityMatrix, build_density_matrix, estimate_density_batch
 from .embedding import AffConfig, EmbeddingParams, embed, sample_rff_params, train_aff
 from .errors import InsufficientDataError, InvalidArgumentError
@@ -140,39 +140,24 @@ def classify_batch(densities, theta: float) -> np.ndarray:
     return np.where(np.asarray(densities) >= theta, NORMAL, ANOMALY).astype(np.int64)
 
 
-def _prepare_features(x, d: int | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or (d is not None and x.shape[1] != d):
-        raise InvalidArgumentError(
-            f"expected a 2-D feature matrix{'' if d is None else f' with {d} columns'}, "
-            f"got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("features contain non-finite values")
-    return x
-
-
 def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
         cfg: FitConfig) -> tuple[DetectorModel, np.ndarray]:
     """Fit the full pipeline on unlabeled train/val feature matrices.
 
     Stages, in order: fit standardization on train (if enabled) and apply
     it to both sets; sample Fourier parameters from ``cfg.seed``; refine
-    them adaptively when ``cfg.use_aff`` (the model records whether that
-    changed them); embed the training rows and
-    average their outer products; estimate validation densities; set the
-    threshold at the ``anomaly_rate`` quantile.
+    them adaptively, on pairs drawn from the same seed, when
+    ``cfg.use_aff`` (the model records whether that changed them); embed
+    the training rows and average their outer products; estimate
+    validation densities; set the threshold at the ``anomaly_rate``
+    quantile.
 
     Returns ``(model, val_densities)``.  The densities are bit-identical
     to ``predict_batch(model, val)[1]``, so callers need not score
     ``val`` again.
     """
-    train = _prepare_features(train)
-    if train.shape[0] == 0:
-        raise InsufficientDataError("training set is empty")
-    val = _prepare_features(val, train.shape[1])
-    if val.shape[0] == 0:
-        raise InsufficientDataError("validation set is empty")
+    train = _feature_matrix(train, min_rows=1)
+    val = _feature_matrix(val, train.shape[1], min_rows=1)
     if not (0.0 <= float(anomaly_rate) <= 1.0):
         raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
 
@@ -185,7 +170,7 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
     params = sample_rff_params(train.shape[1], cfg.embed_dim, cfg.sigma, cfg.seed)
     used_aff = False
     if cfg.use_aff:
-        refined = train_aff(params, train, cfg.aff)
+        refined = train_aff(params, train, cfg.aff, cfg.seed)
         # train_aff hands back its input when training is off or fell back.
         used_aff = refined is not params
         params = refined
@@ -219,7 +204,7 @@ def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
 
 def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """Density of each row of ``x`` under the fitted model (threshold-free)."""
-    x = model.standardize(_prepare_features(x, model.input_dim))
+    x = model.standardize(_feature_matrix(x, model.input_dim))
     return estimate_density_batch(model.dm, embed(model.embedding, x))
 
 
@@ -245,7 +230,7 @@ def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
     if not sigmas or not embed_dims or not use_aff_options:
         raise InvalidArgumentError("grid values must be nonempty")
     val_labels = np.asarray(val_labels, dtype=np.int64)
-    val = _prepare_features(val)
+    val = _feature_matrix(val)
     if val_labels.shape != (val.shape[0],):
         raise InvalidArgumentError("val_labels must align with val rows")
 
@@ -282,10 +267,8 @@ def fit_with_internal_split(features: np.ndarray, anomaly_rate: float,
     (``_REFIT_VAL_FRAC``) calibrate the threshold while the rest build the
     density matrix.
     """
-    features = _prepare_features(features)
+    features = _feature_matrix(features, min_rows=2)
     m = features.shape[0]
-    if m < 2:
-        raise InsufficientDataError("need at least 2 samples to split off a calibration set")
     perm = stream(cfg.seed, DOMAIN_REFIT_SPLIT).permutation(m)
     n_val = min(max(1, int(math.floor(_REFIT_VAL_FRAC * m + 0.5))), m - 1)
     val = features[perm[:n_val]]

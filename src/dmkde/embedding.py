@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import _feature_matrix
 from .density import _BLOCK, _pad_lanes, _row_blocks
-from .errors import DegenerateEmbeddingError, InsufficientDataError, InvalidArgumentError
+from .errors import DegenerateEmbeddingError, InvalidArgumentError
 from .rng import (
     DOMAIN_AFF_HOLDOUT,
     DOMAIN_AFF_PAIRS,
@@ -93,7 +94,6 @@ class AffConfig:
     num_pairs: int = 10_000
     epochs: int = 1000
     learning_rate: float = 1e-3
-    seed: int = 0
     holdout_pairs: int = 1000
     max_retries: int = 3
 
@@ -101,7 +101,6 @@ class AffConfig:
         self.num_pairs = int(self.num_pairs)
         self.epochs = int(self.epochs)
         self.learning_rate = float(self.learning_rate)
-        self.seed = int(self.seed)
         self.holdout_pairs = int(self.holdout_pairs)
         self.max_retries = int(self.max_retries)
         if self.num_pairs < 1:
@@ -357,27 +356,24 @@ def _wrap_offsets(offsets: np.ndarray) -> np.ndarray:
     return np.where(wrapped >= _TWO_PI, 0.0, wrapped)
 
 
-def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig) -> EmbeddingParams:
+def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig,
+              seed: int) -> EmbeddingParams:
     """Refine Fourier parameters by gradient descent on kernel matching.
 
     Runs ``cfg.epochs`` full-batch gradient steps over ``cfg.num_pairs``
-    sampled training pairs; ``epochs == 0`` returns ``init`` unchanged.
+    training pairs drawn from ``seed``; ``epochs == 0`` returns ``init``
+    unchanged.  A fit passes its own seed: the pair streams are apart
+    from the ones :func:`sample_rff_params` draws from.
     The returned parameters never have a worse held-out kernel-matching
     MSE than ``init`` (see :class:`AffConfig` for the retry rule).
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != init.input_dim:
-        raise InvalidArgumentError(
-            f"training features must be 2-D with {init.input_dim} columns"
-        )
-    if features.shape[0] < 2:
-        raise InsufficientDataError("adaptive training needs at least 2 samples")
+    features = _feature_matrix(features, init.input_dim, min_rows=2)
     if cfg.epochs == 0:
         return init
 
     n = features.shape[0]
-    pi, pj = _sample_pair_indices(stream(cfg.seed, DOMAIN_AFF_PAIRS), n, cfg.num_pairs)
-    hi, hj = _sample_pair_indices(stream(cfg.seed, DOMAIN_AFF_HOLDOUT), n, cfg.holdout_pairs)
+    pi, pj = _sample_pair_indices(stream(seed, DOMAIN_AFF_PAIRS), n, cfg.num_pairs)
+    hi, hj = _sample_pair_indices(stream(seed, DOMAIN_AFF_HOLDOUT), n, cfg.holdout_pairs)
     # Keep the holdout sample disjoint from the training pairs where possible.
     keep = ~np.isin(hi * n + hj, pi * n + pj)
     if keep.any():
@@ -433,9 +429,7 @@ def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
     of at most ``_SIGMA_SUBSET`` (1000) rows.  A zero median (all points
     equal) falls back to 1.0 so the grid stays usable.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 samples to estimate a bandwidth grid")
+    features = _feature_matrix(features, min_rows=2)
     if features.shape[0] > _SIGMA_SUBSET:
         idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(len(features), _SIGMA_SUBSET, replace=False)
         features = features[np.sort(idx)]

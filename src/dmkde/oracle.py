@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detector import compute_threshold
+from .dataio import _feature_matrix
+from .detector import classify_batch, compute_threshold
 from .errors import InsufficientDataError, InvalidArgumentError
 
 #: Bandwidth ratio under which exact KDE tracks the squared-kernel scores.
@@ -46,15 +47,11 @@ def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.
     ``_KDE_ELEMENTS`` entries.  Each value depends only on its own query
     row, so any blocking gives the same bits.
     """
-    train = np.asarray(train, dtype=np.float64)
-    if train.ndim != 2 or train.shape[0] == 0:
-        raise InsufficientDataError("training matrix must be 2-D and nonempty")
+    train = _feature_matrix(train, min_rows=1)
     if sigma <= 0:
         raise InvalidArgumentError("sigma must be > 0")
     n, d = train.shape
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != d:
-        raise InvalidArgumentError(f"queries must have shape (m, {d}), got {queries.shape}")
+    queries = _feature_matrix(queries, d)
     norm = (2.0 * np.pi * sigma ** 2) ** (-d / 2.0)
     block = max(1, min(_KDE_BLOCK, _KDE_ELEMENTS // max(1, n * d)))
     out = np.empty(queries.shape[0])
@@ -91,11 +88,8 @@ def reference_classifier(train, val, test, anomaly_rate: float, sigma: float) ->
     quantile; test densities at or above it are normal (0), below it
     anomalous (1).
     """
-    val = np.asarray(val, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if val.ndim != 2 or val.shape[0] == 0 or test.ndim != 2 or test.shape[0] == 0:
-        raise InsufficientDataError("validation and test matrices must be 2-D and nonempty")
+    val, test = (_feature_matrix(rows, min_rows=1) for rows in (val, test))
     val_densities = kde_exact_batch(train, sigma, val)
     theta = compute_threshold(val_densities, anomaly_rate)
     test_densities = kde_exact_batch(train, sigma, test)
-    return np.where(test_densities >= theta, 0, 1).astype(np.int64)
+    return classify_batch(test_densities, theta)

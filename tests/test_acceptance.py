@@ -124,8 +124,8 @@ def test_criterion_4_aff_correctness(capsys):
     shift, scale = dmkde.fit_standardizer(train)
     train = dmkde.apply_standardizer(train, shift, scale)
     init = dmkde.sample_rff_params(2, 64, 1.5, seed=5)
-    cfg = dmkde.AffConfig(num_pairs=1000, epochs=500, learning_rate=0.05, seed=9)
-    trained = dmkde.train_aff(init, train, cfg)
+    cfg = dmkde.AffConfig(num_pairs=1000, epochs=500, learning_rate=0.05)
+    trained = dmkde.train_aff(init, train, cfg, 9)
     hold = np.random.default_rng(321)
     i = hold.integers(0, len(train), 2000)
     j = hold.integers(0, len(train), 2000)

@@ -122,6 +122,26 @@ class TestFit:
         model = load_model(model_path)
         assert model.use_aff
 
+    def test_library_fit_uses_the_cli_seed_for_aff(self, tmp_path, dataset_path):
+        # One seed per fit: FitConfig(seed=3) and `fit --seed 3` draw the
+        # same AFF pairs, so the same settings train the same weights.
+        cfg = tmp_path / "aff.cfg"
+        cfg.write_text("sigma = 1.0\nembed_dim = 32\naff_num_pairs = 200\naff_epochs = 20\n"
+                       "aff_learning_rate = 0.05\n", encoding="utf-8")
+        model_path = tmp_path / "model_aff.json"
+        assert main(["fit", str(dataset_path), "--out", str(model_path),
+                     "--config", str(cfg), "--use-aff", "--seed", "3"]) == EXIT_OK
+        cli_model = load_model(model_path)
+        ds = load_csv(dataset_path)
+        split = dmkde.stratified_split(ds, seed=3)
+        aff = dmkde.AffConfig(num_pairs=200, epochs=20, learning_rate=0.05)
+        lib_model, _ = dmkde.fit(ds.features[split.train], ds.features[split.val],
+                                 ds.anomaly_rate, dmkde.FitConfig(sigma=1.0, embed_dim=32,
+                                                                  use_aff=True, aff=aff, seed=3))
+        assert cli_model.use_aff and lib_model.use_aff
+        assert np.array_equal(lib_model.embedding.weights, cli_model.embedding.weights)
+        assert np.array_equal(lib_model.embedding.offsets, cli_model.embedding.offsets)
+
     def test_aff_fallback_is_reported(self, tmp_path, dataset_path):
         # A divergent learning rate keeps the random features: the fit
         # report still shows the requested settings, the model and its
@@ -303,6 +323,17 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["fit", "--bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command,flag", [
+        ("generate", "--config"), ("generate", "--label-column"),
+        ("predict", "--seed"), ("predict", "--config"),
+    ])
+    def test_flag_the_command_ignores(self, tmp_path, command, flag):
+        # generate reads only --seed and predict only --label-column.
+        argv = {"generate": ["generate", str(tmp_path / "spec.json")],
+                "predict": ["predict", str(tmp_path / "d.csv"),
+                            "--model", str(tmp_path / "m.json")]}[command]
+        assert main(argv + ["--out", str(tmp_path / "o.csv"), flag, "1"]) == EXIT_USAGE
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, dataset_path):

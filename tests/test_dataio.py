@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dmkde import (
+    AffConfig,
+    FitConfig,
     GaussianComponent,
     InsufficientClassError,
     InsufficientDataError,
@@ -10,11 +14,17 @@ from dmkde import (
     ParseError,
     SyntheticSpec,
     apply_standardizer,
+    default_sigma_grid,
+    fit,
     fit_standardizer,
     generate_synthetic,
+    kde_exact_batch,
     load_csv,
+    reference_classifier,
+    sample_rff_params,
     save_csv,
     stratified_split,
+    train_aff,
 )
 from tests.conftest import ODDS_DIR, two_cluster_spec
 
@@ -176,6 +186,20 @@ class TestStandardizer:
         with pytest.raises(InsufficientDataError):
             fit_standardizer(np.zeros((1, 3)))
 
+    def test_huge_column_keeps_a_finite_scale(self):
+        # Squaring values near 1e160 overflows; such a column's scale is
+        # taken on the column divided by its largest magnitude instead.
+        x = np.random.default_rng(0).normal(size=(50, 2)) * np.array([1.0, 1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift, scale = fit_standardizer(x)
+            model, _ = fit(x[:35], x[35:], 0.1, FitConfig(sigma=1.0, embed_dim=16))
+        assert np.all(np.isfinite(scale)) and scale[1] > 1e159
+        assert scale[0] == x[:, 0].std()  # a column that fits keeps its bits
+        z = apply_standardizer(x, shift, scale)
+        assert np.max(np.abs(z.std(axis=0) - 1.0)) <= 1e-12
+        assert np.all(np.isfinite(model.scale))
+
 
 class TestSynthetic:
     def test_counts(self):
@@ -244,3 +268,39 @@ class TestLabeledDataset:
     def test_anomaly_rate_is_label_mean(self):
         ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 1, 0]))
         assert ds.anomaly_rate == 0.5
+
+
+def _rows(nan=False):
+    x = np.random.default_rng(4).normal(size=(20, 2))
+    if nan:
+        x[3, 1] = np.nan
+    return x
+
+
+class TestFeatureMatrixContract:
+    """Every public entry point taking a feature matrix applies one rule:
+    2-D, the right width, enough rows, every value finite."""
+
+    @pytest.mark.parametrize("call", [
+        lambda bad, good: fit_standardizer(bad),
+        lambda bad, good: default_sigma_grid(bad),
+        lambda bad, good: train_aff(sample_rff_params(2, 8, 1.0, seed=0), bad,
+                                    AffConfig(num_pairs=10, epochs=1), 0),
+        lambda bad, good: kde_exact_batch(bad, 1.0, good),
+        lambda bad, good: kde_exact_batch(good, 1.0, bad),
+        lambda bad, good: reference_classifier(good, good, bad, 0.1, 1.0),
+    ], ids=["fit_standardizer", "default_sigma_grid", "train_aff", "kde_exact_batch-train",
+            "kde_exact_batch-queries", "reference_classifier"])
+    def test_nonfinite_features_rejected(self, call):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            call(_rows(nan=True), _rows())
+
+    @pytest.mark.parametrize("call", [
+        lambda vec, good: fit_standardizer(vec),
+        lambda vec, good: default_sigma_grid(vec),
+        lambda vec, good: kde_exact_batch(vec, 1.0, good),
+        lambda vec, good: reference_classifier(vec, good, good, 0.1, 1.0),
+    ], ids=["fit_standardizer", "default_sigma_grid", "kde_exact_batch", "reference_classifier"])
+    def test_vector_is_invalid_argument(self, call):
+        with pytest.raises(InvalidArgumentError, match="2-D feature matrix"):
+            call(np.zeros(5), _rows())

@@ -141,6 +141,11 @@ class TestMerge:
         doubled = merge_density_matrices(dm, dm)
         assert np.array_equal(doubled.matrix, dm.matrix)
         assert doubled.sample_count == 2 * dm.sample_count
+        # A matrix with a valid skew (within the symmetry tolerance) too.
+        skewed = dm.matrix.copy()
+        skewed[0, 1] += 5e-13
+        skewed_dm = DensityMatrix(skewed, dm.sample_count)
+        assert np.array_equal(merge_density_matrices(skewed_dm, skewed_dm).matrix, skewed)
 
     def test_uneven_chunks_any_merge_order(self):
         rng = np.random.default_rng(8)

@@ -29,13 +29,13 @@ class TestFitConfig:
     def test_numpy_scalars_serialize(self):
         # The fit and benchmark reports write asdict(config) as JSON.
         aff = AffConfig(num_pairs=np.int64(5), epochs=np.int64(2), learning_rate=np.float32(0.25),
-                        seed=np.int64(7), holdout_pairs=np.int64(4), max_retries=np.int64(1))
+                        holdout_pairs=np.int64(4), max_retries=np.int64(1))
         cfg = FitConfig(sigma=np.float64(0.5), embed_dim=np.int64(16), use_aff=np.bool_(True),
                         aff=aff, seed=np.int64(3), standardize=np.bool_(False))
         doc = json.loads(json.dumps(asdict(cfg)))
         assert (doc["embed_dim"], doc["use_aff"], doc["seed"], doc["standardize"]) == (
             16, True, 3, False)
-        assert doc["aff"] == {"num_pairs": 5, "epochs": 2, "learning_rate": 0.25, "seed": 7,
+        assert doc["aff"] == {"num_pairs": 5, "epochs": 2, "learning_rate": 0.25,
                               "holdout_pairs": 4, "max_retries": 1}
 
 
@@ -166,7 +166,7 @@ class TestFit:
     def test_aff_path_runs_and_is_deterministic(self):
         pts = gaussian_points(10, 100)
         cfg = FitConfig(sigma=1.0, embed_dim=32, use_aff=True,
-                        aff=AffConfig(num_pairs=200, epochs=30, learning_rate=0.05, seed=3),
+                        aff=AffConfig(num_pairs=200, epochs=30, learning_rate=0.05),
                         seed=3)
         a, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         b, _ = fit(pts[:70], pts[70:], 0.1, cfg)
@@ -175,7 +175,7 @@ class TestFit:
     def test_divergent_aff_records_use_aff_false(self):
         pts = gaussian_points(10, 100)
         cfg = FitConfig(sigma=1.0, embed_dim=16, use_aff=True, seed=3,
-                        aff=AffConfig(num_pairs=200, epochs=50, learning_rate=1e9, seed=1,
+                        aff=AffConfig(num_pairs=200, epochs=50, learning_rate=1e9,
                                       max_retries=1))
         model, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         plain, _ = fit(pts[:70], pts[70:], 0.1, FitConfig(sigma=1.0, embed_dim=16, seed=3))

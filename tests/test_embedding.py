@@ -171,7 +171,7 @@ def features():
 class TestTrainAff:
     def test_zero_epochs_is_noop(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=0)
-        out = train_aff(init, features, AffConfig(num_pairs=10, epochs=0, seed=0))
+        out = train_aff(init, features, AffConfig(num_pairs=10, epochs=0), 0)
         assert out is init
 
     def test_gradient_matches_finite_differences(self):
@@ -202,8 +202,8 @@ class TestTrainAff:
 
     def test_training_improves_holdout_mse(self, features):
         init = sample_rff_params(2, 64, 1.5, seed=5)
-        cfg = AffConfig(num_pairs=1000, epochs=500, learning_rate=0.05, seed=9)
-        trained = train_aff(init, features, cfg)
+        cfg = AffConfig(num_pairs=1000, epochs=500, learning_rate=0.05)
+        trained = train_aff(init, features, cfg, 9)
         # independent pair sample, disjoint stream from training/holdout
         rng = np.random.default_rng(123)
         i = rng.integers(0, len(features), 2000)
@@ -214,18 +214,18 @@ class TestTrainAff:
 
     def test_divergent_rate_falls_back_to_init(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=6)
-        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=1e9, seed=1, max_retries=1)
-        out = train_aff(init, features, cfg)
+        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=1e9, max_retries=1)
+        out = train_aff(init, features, cfg, 1)
         assert np.array_equal(out.weights, init.weights)
         assert np.array_equal(out.offsets, init.offsets)
 
     def test_result_never_worse_on_holdout(self, features):
         init = sample_rff_params(2, 32, 1.0, seed=8)
-        cfg = AffConfig(num_pairs=500, epochs=100, learning_rate=0.5, seed=2, max_retries=2)
-        trained = train_aff(init, features, cfg)
+        cfg = AffConfig(num_pairs=500, epochs=100, learning_rate=0.5, max_retries=2)
+        trained = train_aff(init, features, cfg, 2)
         from dmkde.rng import DOMAIN_AFF_HOLDOUT, stream
         from dmkde.embedding import _sample_pair_indices
-        hi, hj = _sample_pair_indices(stream(cfg.seed, DOMAIN_AFF_HOLDOUT),
+        hi, hj = _sample_pair_indices(stream(2, DOMAIN_AFF_HOLDOUT),
                                       len(features), cfg.holdout_pairs)
         assert (pair_loss(trained, features[hi], features[hj])
                 <= pair_loss(init, features[hi], features[hj]) + 1e-12)
@@ -233,19 +233,19 @@ class TestTrainAff:
     def test_offsets_stay_in_range(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=10)
         trained = train_aff(init, features,
-                            AffConfig(num_pairs=300, epochs=200, learning_rate=0.1, seed=3))
+                            AffConfig(num_pairs=300, epochs=200, learning_rate=0.1), 3)
         assert np.all(trained.offsets >= 0) and np.all(trained.offsets < TWO_PI)
 
     def test_insufficient_data(self):
         init = sample_rff_params(2, 8, 1.0, seed=0)
         with pytest.raises(InsufficientDataError):
-            train_aff(init, np.zeros((1, 2)), AffConfig(num_pairs=10, epochs=1))
+            train_aff(init, np.zeros((1, 2)), AffConfig(num_pairs=10, epochs=1), 0)
 
     def test_deterministic(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=11)
-        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=0.05, seed=4)
-        a = train_aff(init, features, cfg)
-        b = train_aff(init, features, cfg)
+        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=0.05)
+        a = train_aff(init, features, cfg, 4)
+        b = train_aff(init, features, cfg, 4)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.offsets, b.offsets)
 
