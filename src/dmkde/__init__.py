@@ -20,6 +20,7 @@ from .dataio import (
     stratified_split,
 )
 from .density import (
+    DensityFactor,
     DensityMatrix,
     build_density_matrix,
     estimate_density,
@@ -72,6 +73,7 @@ __all__ = [
     "ConfigError",
     "ConfusionCounts",
     "DegenerateEmbeddingError",
+    "DensityFactor",
     "DensityMatrix",
     "DetectorModel",
     "EmbeddingParams",

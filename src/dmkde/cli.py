@@ -40,6 +40,7 @@ from .detector import (
     grid_search,
     predict_batch,
 )
+from .density import DensityFactor
 from .embedding import default_sigma_grid
 from .errors import ConfigError, InvalidArgumentError, ParseError
 from .modelio import load_model, save_model
@@ -175,25 +176,32 @@ def _default_grid(features: np.ndarray, standardize: bool, seed: int) -> list[fl
     return default_sigma_grid(features, seed=seed)
 
 
-def _report(ds: LabeledDataset, split: SplitIndices, config: dict, rate: float, theta: float,
+def _report(ds: LabeledDataset, split: SplitIndices, config: dict, model: DetectorModel,
             eval_split: str, pred, oracle: dict | None = None) -> dict:
-    """The report document of one run, scored on ``split``'s ``eval_split`` rows."""
+    """The report document of one run of ``model``, scored on ``split``'s
+    ``eval_split`` rows."""
     truth = ds.labels[getattr(split, eval_split)]
     c = metrics.confusion(truth, pred)
+    factor = isinstance(model.dm, DensityFactor)
     doc = {
         "schema": REPORT_SCHEMA,
         "dataset": ds.name,
         "config": config,
         "split_seed": split.seed,
         "split_sizes": {"train": len(split.train), "val": len(split.val), "test": len(split.test)},
-        "anomaly_rate": float(rate),
-        "theta": float(theta),
+        "anomaly_rate": model.anomaly_rate,
+        "theta": model.theta,
         "eval_split": eval_split,
         "metrics": {
             "f1_weighted": metrics.f1_weighted(truth, pred),
             "f1_anomaly": metrics.f1_anomaly(truth, pred),
             "accuracy": metrics.accuracy(truth, pred),
             "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
+        },
+        "serving": {
+            "form": "factor" if factor else "dense",
+            "rank": model.dm.rank if factor else model.dm.embed_dim,
+            "sketch_bound": model.sketch_bound,
         },
     }
     if oracle is not None:
@@ -226,7 +234,7 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     save_model(model, out)
-    report = _report(ds, split, asdict(cfg), rate, model.theta, "val", val_pred)
+    report = _report(ds, split, asdict(cfg), model, "val", val_pred)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
     report_path.write_text(canonical_json(report), encoding="utf-8")
     pred_path = Path(args.predictions) if args.predictions else out.with_suffix(".predictions.csv")
@@ -259,7 +267,7 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
               "embed_dim": int(model.embedding.embed_dim),
               "use_aff": bool(model.use_aff),
               "standardize": model.shift is not None}
-    report = _report(ds, split, config, model.anomaly_rate, model.theta, "test", pred, oracle_doc)
+    report = _report(ds, split, config, model, "test", pred, oracle_doc)
     return report, split.test, densities, pred
 
 
@@ -330,7 +338,7 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
     pred, densities = predict_batch(model, test)
     predictions = (split.test, densities, pred, ds.labels[split.test])
     best_val_f1 = max(row["f1_weighted"] for row in search_report)
-    report = _report(ds, split, asdict(best_cfg), rate, model.theta, "test", pred)
+    report = _report(ds, split, asdict(best_cfg), model, "test", pred)
     test_metrics = report["metrics"]
     summary_row = {
         "dataset": ds.name,

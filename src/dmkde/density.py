@@ -8,6 +8,11 @@ and never on the number of training samples.  Every estimate, single or
 batched, goes through one kernel that scores fixed-size row blocks as a
 matrix product, under the package's one block rule (``_BLOCK`` below),
 which :mod:`dmkde.embedding` shares.
+
+When fewer samples than dimensions span ``R``, :func:`sketch_density_matrix`
+serves it instead as a rank-``_RANK`` Nystrom factor ``F`` with
+``R ~ F F^T`` and a proven bound on the density error, scored as
+``||F^T phi||^2`` (:class:`DensityFactor`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
+from .rng import DOMAIN_NYSTROM, standard_normal, stream
 
 _SYMMETRY_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -30,6 +36,13 @@ _ENTRY_TOL = 1e-12
 # 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row one.
 _BLOCK = 128
 _LANES = 8
+# The Nystrom factor's rank, a constant: a 96-square Cholesky factor and
+# its inverse come out bit-identical at 1 and 2 BLAS threads, while above
+# about 100 OpenBLAS threads potrf and getrf and the bits change.
+_RANK = 96
+# A factor is served only when its density error bound is at most this,
+# the fast-versus-brute-force tolerance of acceptance criterion 1.
+FACTOR_BOUND = 1e-9
 
 
 @dataclass
@@ -59,6 +72,41 @@ class DensityMatrix:
     @property
     def embed_dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass
+class DensityFactor:
+    """Rank-``k`` factor ``F`` (``embed_dim`` x ``k``) of a density matrix,
+    ``R ~ F F^T``, built from ``sample_count`` embeddings.  Unlike
+    :class:`DensityMatrix` it is a serving form, not a mergeable
+    accumulator.  ``tr(F F^T) = ||F||_F^2`` is 1 within the trace tolerance,
+    as :func:`sketch_density_matrix` guarantees for any factor it serves.
+    """
+
+    factor: np.ndarray
+    sample_count: int
+
+    def __post_init__(self):
+        self.factor = np.asarray(self.factor, dtype=np.float64)
+        self.sample_count = int(self.sample_count)
+        if self.factor.ndim != 2 or not 1 <= self.factor.shape[1] <= self.factor.shape[0]:
+            raise InvalidArgumentError(f"factor must be D x k with k <= D, got {self.factor.shape}")
+        if self.sample_count < 1:
+            raise InvalidArgumentError("sample_count must be >= 1")
+        if not np.all(np.isfinite(self.factor)):
+            raise InvalidArgumentError("factor contains non-finite entries")
+        if abs(float(np.sum(self.factor * self.factor)) - 1.0) > _TRACE_TOL:
+            raise InvalidArgumentError("factor trace ||F||_F^2 must equal 1")
+        # Padded to whole lanes once here, not on every scoring call.
+        self._padded = _pad_lanes(self.factor, 0)
+
+    @property
+    def embed_dim(self) -> int:
+        return self.factor.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[1]
 
 
 def _max_asymmetry(matrix: np.ndarray) -> float:
@@ -127,6 +175,62 @@ def build_density_matrix(embeddings) -> DensityMatrix:
     return DensityMatrix((phi.T @ phi)[:dim, :dim] / n, n)
 
 
+def sketch_density_matrix(embeddings: np.ndarray,
+                          seed: int) -> tuple[DensityFactor | None, float | None]:
+    """The rank-``_RANK`` factor to serve ``R = Phi^T Phi / n`` from, and
+    its density error bound: ``(factor, beta)``.
+
+    A sketch is made only when ``Phi`` has fewer rows than columns, so
+    that ``R`` is rank-deficient, and ``D >= 2 k``, so that the factor is
+    at most the size of ``R``'s triangle and ``Omega`` (D x k) is well
+    conditioned; otherwise the result is ``(None, None)``.  The factor is
+    ``None`` too when ``beta > FACTOR_BOUND`` (see :func:`_nystrom`).
+    """
+    n, dim = embeddings.shape
+    if n >= dim or dim < 2 * _RANK:
+        return None, None
+    factor, beta = _nystrom(embeddings, seed)
+    if not beta <= FACTOR_BOUND:
+        return None, beta
+    return DensityFactor(factor, n), beta
+
+
+def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, float]:
+    """Nystrom factor ``F`` of ``R = Phi^T Phi / n``, never forming ``R``,
+    and its bound ``beta``; ``(None, inf)`` when the Cholesky fails.
+
+    With a seeded Gaussian ``Omega`` (D x k, rng domain ``DOMAIN_NYSTROM``),
+    ``Y = Phi^T (Phi Omega) / n`` is summed over the blocks of the block
+    rule.  A shift ``nu = sqrt(D) * spacing(max column norm of Y)`` keeps
+    the rank-deficient case positive definite (Tropp, Yurtsever, Udell &
+    Cevher, 2017, scale it by ``||Y||_2``, which that column norm bounds
+    from below): ``Y_nu = Y + nu Omega``, ``C = chol(Omega^T Y_nu)`` and
+    ``F = Y_nu C^-T``.  ``F F^T`` is the Nystrom approximation of the PSD
+    matrix ``R + nu I``, so ``F F^T <= R + nu I`` and, for every unit
+    ``phi``, ``-nu <= phi^T R phi - ||F^T phi||^2 <= tr(R + nu I - F F^T)
+    = beta = (1 - ||F||_F^2) + D nu``.  As ``beta >= (D - k) nu``, ``beta``
+    bounds the error both ways once ``D > k``.
+    """
+    n, dim = embeddings.shape
+    width = -(-dim // _LANES) * _LANES
+    omega = _pad_lanes(standard_normal(stream(seed, DOMAIN_NYSTROM), (dim, _RANK)), 0)
+    y = np.zeros((width, _RANK))
+    for _, _, block in _row_blocks(embeddings, width):
+        y += block.T @ (block @ omega)
+    y /= n
+    nu = np.sqrt(dim) * np.spacing(np.sqrt(np.max(np.einsum("ij,ij->j", y, y))))
+    y += nu * omega
+    try:
+        inverse = np.linalg.inv(np.linalg.cholesky(omega.T @ y)).T
+    except np.linalg.LinAlgError:
+        return None, float("inf")
+    factor = np.empty((width, _RANK))
+    for start, count, block in _row_blocks(y, _RANK):
+        factor[start:start + count] = (block @ inverse)[:count]
+    factor = factor[:dim]
+    return factor, float((1.0 - np.sum(factor * factor)) + dim * nu)
+
+
 def merge_density_matrices(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Sample-weighted average of two density matrices.
 
@@ -146,12 +250,13 @@ def merge_density_matrices(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(wa * a.matrix + wb * b.matrix, total)
 
 
-def estimate_density(dm: DensityMatrix, phi: np.ndarray) -> float:
+def estimate_density(dm: DensityMatrix | DensityFactor, phi: np.ndarray) -> float:
     """Quadratic form ``phi^T R phi`` for a unit-norm query embedding.
 
     Equals the mean squared inner product with the embeddings the matrix
-    was built from, and lies in [0, 1] up to roundoff.  Bit-identical to
-    the same row scored by :func:`estimate_density_batch`.
+    was built from, and lies in [0, 1] up to roundoff; a factor gives
+    ``||F^T phi||^2``.  Bit-identical to the same row scored by
+    :func:`estimate_density_batch`.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (dm.embed_dim,):
@@ -161,23 +266,26 @@ def estimate_density(dm: DensityMatrix, phi: np.ndarray) -> float:
     return float(estimate_density_batch(dm, phi[np.newaxis])[0])
 
 
-def estimate_density_batch(dm: DensityMatrix, phis) -> np.ndarray:
+def estimate_density_batch(dm: DensityMatrix | DensityFactor, phis) -> np.ndarray:
     """Densities for a sequence of query embeddings, in input order.
 
     Accepts a sequence of vectors or an (m, D) array.  Rows are scored as
-    ``rowsum((block @ R) * block)`` in zero-padded blocks, with ``R``
-    padded to whole lanes, by the block rule (see ``_BLOCK``): each
-    density depends only on its own row, so a batch equals the per-query
-    calls, and any split of it, bit for bit.  A single query therefore
-    costs one whole block.
+    ``rowsum((block @ R) * block)``, or ``rowsum((block @ F)^2)`` for a
+    factor, in zero-padded blocks, with ``R`` or ``F`` padded to whole
+    lanes, by the block rule (see ``_BLOCK``): each density depends only
+    on its own row, so a batch equals the per-query calls, and any split
+    of it, bit for bit.  A single query therefore costs one whole block.
     """
     phis = _as_embedding_matrix(phis)
     if phis.shape == (0, 0):  # an empty sequence carries no width to check
         return np.empty(0)
     if phis.shape[1] != dm.embed_dim:
         raise InvalidArgumentError(f"queries must have shape (m, {dm.embed_dim}), got {phis.shape}")
-    matrix = _pad_lanes(dm.matrix, 0, 1)
+    factor = isinstance(dm, DensityFactor)
+    served = dm._padded if factor else _pad_lanes(dm.matrix, 0, 1)
     out = np.empty(phis.shape[0])
-    for start, count, block in _row_blocks(phis, matrix.shape[0]):
-        out[start:start + count] = np.einsum("ij,ij->i", block @ matrix, block)[:count]
+    for start, count, block in _row_blocks(phis, served.shape[0]):
+        product = block @ served
+        out[start:start + count] = np.einsum(
+            "ij,ij->i", product, product if factor else block)[:count]
     return out

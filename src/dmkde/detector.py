@@ -17,7 +17,15 @@ import numpy as np
 
 from . import metrics
 from .dataio import _feature_matrix, apply_standardizer, fit_standardizer
-from .density import DensityMatrix, build_density_matrix, estimate_density_batch
+from .density import (
+    _BLOCK,
+    FACTOR_BOUND,
+    DensityFactor,
+    DensityMatrix,
+    build_density_matrix,
+    estimate_density_batch,
+    sketch_density_matrix,
+)
 from .embedding import AffConfig, EmbeddingParams, embed, sample_rff_params, train_aff
 from .errors import InsufficientDataError, InvalidArgumentError
 from .rng import DOMAIN_REFIT_SPLIT, stream
@@ -25,6 +33,9 @@ from .rng import DOMAIN_REFIT_SPLIT, stream
 NORMAL = 0
 ANOMALY = 1
 _REFIT_VAL_FRAC = 0.3
+# score_batch embeds and scores this many rows at a time, so its memory
+# does not grow with the batch: 8 MiB of embeddings at D=1024.
+_CHUNK = 8 * _BLOCK
 
 
 @dataclass
@@ -56,22 +67,33 @@ class DetectorModel:
 
     ``use_aff`` is true only when adaptive training actually refined the
     embedding; a fit that asked for AFF but fell back to the random
-    features records false.
+    features records false.  ``dm`` is the serving form: the density
+    matrix, or its rank-k factor.  ``sketch_bound`` is the density error
+    bound of the factor fit sketched (see ``sketch_density_matrix``), also
+    when it was too large to serve and ``dm`` is the matrix; ``None`` when
+    no sketch was made.
     """
 
     embedding: EmbeddingParams
-    dm: DensityMatrix
+    dm: DensityMatrix | DensityFactor
     theta: float
     anomaly_rate: float
     use_aff: bool = False
     shift: np.ndarray | None = None
     scale: np.ndarray | None = None
+    sketch_bound: float | None = None
 
     def __post_init__(self):
         self.theta = float(self.theta)
         self.anomaly_rate = float(self.anomaly_rate)
         if self.embedding.embed_dim != self.dm.embed_dim:
             raise InvalidArgumentError("embedding and density matrix dimensions differ")
+        if self.sketch_bound is not None:
+            self.sketch_bound = float(self.sketch_bound)
+        if isinstance(self.dm, DensityFactor) and not (
+                self.sketch_bound is not None and self.sketch_bound <= FACTOR_BOUND):
+            raise InvalidArgumentError(f"a factor is served only with a sketch_bound <= "
+                                       f"{FACTOR_BOUND}, got {self.sketch_bound}")
         if not (0.0 <= self.anomaly_rate <= 1.0):
             raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
         if self.anomaly_rate == 0.0:
@@ -148,9 +170,11 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
     it to both sets; sample Fourier parameters from ``cfg.seed``; refine
     them adaptively, on pairs drawn from the same seed, when
     ``cfg.use_aff`` (the model records whether that changed them); embed
-    the training rows and average their outer products; estimate
-    validation densities; set the threshold at the ``anomaly_rate``
-    quantile.
+    the training rows and serve their density matrix as its rank-k
+    sketch when that is proven within ``FACTOR_BOUND`` (see
+    ``sketch_density_matrix``), else average their outer products;
+    estimate validation densities from the served form; set the threshold
+    at the ``anomaly_rate`` quantile.
 
     Returns ``(model, val_densities)``.  The densities are bit-identical
     to ``predict_batch(model, val)[1]``, so callers need not score
@@ -175,10 +199,14 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
         used_aff = refined is not params
         params = refined
 
-    dm = build_density_matrix(embed(params, train))
+    phi = embed(params, train)
+    dm, bound = sketch_density_matrix(phi, cfg.seed)
+    if dm is None:
+        dm = build_density_matrix(phi)
+    del phi  # the training embedding is not held while val is embedded
     val_densities = estimate_density_batch(dm, embed(params, val))
     theta = compute_threshold(val_densities, anomaly_rate)
-    model = DetectorModel(params, dm, theta, float(anomaly_rate), used_aff, shift, scale)
+    model = DetectorModel(params, dm, theta, float(anomaly_rate), used_aff, shift, scale, bound)
     return model, val_densities
 
 
@@ -203,9 +231,17 @@ def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
 
 
 def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
-    """Density of each row of ``x`` under the fitted model (threshold-free)."""
+    """Density of each row of ``x`` under the fitted model (threshold-free).
+
+    Rows are embedded and scored ``_CHUNK`` at a time; both steps are
+    row-stable, so the chunking does not change a bit.
+    """
     x = model.standardize(_feature_matrix(x, model.input_dim))
-    return estimate_density_batch(model.dm, embed(model.embedding, x))
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _CHUNK):
+        chunk = embed(model.embedding, x[start:start + _CHUNK])
+        out[start:start + _CHUNK] = estimate_density_batch(model.dm, chunk)
+    return out
 
 
 def predict_batch(model: DetectorModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

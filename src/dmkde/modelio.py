@@ -3,13 +3,22 @@
 A model is one JSON document with a fixed field order:
 
     format, version, input_dim, embed_dim, sample_count, sigma, theta,
-    anomaly_rate, use_aff, shift, scale, weights, offsets, density
+    anomaly_rate, use_aff, shift, scale, weights, offsets, form,
+    sketch_bound, density
 
 Scalars are JSON numbers (Python's shortest-repr float round trip keeps
 them bit-exact; a rate-0 threshold serializes as the ``-Infinity``
 token).  Arrays are base64-encoded little-endian float64 buffers,
 row-major for matrices, which makes the round trip bit-exact by
 construction.  ``shift``/``scale`` are null when standardization is off.
+
+``form`` names what ``density`` holds: ``"dense"``, the upper triangle of
+the density matrix row by row (``D (D + 1) / 2`` values; the matrix is
+exactly symmetric, so mirroring restores it bit for bit), or
+``"factor"``, the ``D x k`` Nystrom factor.  ``sketch_bound`` is the
+factor's density error bound, or that of the sketch a dense model was
+built instead of, or null.  Version 1 documents, which hold the full
+matrix and have neither field, still load.
 """
 
 from __future__ import annotations
@@ -20,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensityFactor, DensityMatrix
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
 from .errors import ParseError
 
 FORMAT_NAME = "dmkde-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _encode(arr: np.ndarray | None) -> str | None:
@@ -36,7 +45,8 @@ def _encode(arr: np.ndarray | None) -> str | None:
     return base64.b64encode(buf).decode("ascii")
 
 
-def _decode(text: str | None, shape: tuple[int, ...]):
+def _decode(text: str | None, shape: tuple[int, ...] | None):
+    """The array ``text`` encodes, of ``shape``, or flat when ``shape`` is None."""
     if text is None:
         return None
     if not isinstance(text, str):
@@ -46,6 +56,8 @@ def _decode(text: str | None, shape: tuple[int, ...]):
         arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad array payload: {exc}") from exc
+    if shape is None:
+        return arr
     if arr.size != int(np.prod(shape)):
         raise ParseError(f"array payload has {arr.size} values, expected shape {shape}")
     return arr.reshape(shape)
@@ -62,7 +74,42 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
+def _encode_density(dm: DensityMatrix | DensityFactor) -> tuple[str, str]:
+    """``(form, payload)`` of a serving form."""
+    if isinstance(dm, DensityFactor):
+        return "factor", _encode(dm.factor)
+    return "dense", _encode(dm.matrix[_upper(dm.embed_dim)])
+
+
+def _upper(dim: int) -> np.ndarray:
+    """Mask of the upper triangle, diagonal included; it selects in row order."""
+    return ~np.tri(dim, dim, -1, dtype=bool)
+
+
+def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
+    """The serving form a document's ``density`` payload holds."""
+    text = _field(doc, "density", str)
+    if version == 1:
+        return DensityMatrix(_decode(text, (embed_dim, embed_dim)), n)
+    form = _field(doc, "form", str)
+    if form == "factor":
+        values = _decode(text, None)
+        if values.size == 0 or values.size % embed_dim:
+            raise ParseError(f"factor payload has {values.size} values, "
+                             f"not a positive multiple of embed_dim {embed_dim}")
+        return DensityFactor(values.reshape(embed_dim, -1), n)
+    if form != "dense":
+        raise ParseError(f"unknown density form {form!r}")
+    values = _decode(text, (embed_dim * (embed_dim + 1) // 2,))
+    upper = _upper(embed_dim)
+    matrix = np.empty((embed_dim, embed_dim))
+    matrix[upper] = values
+    matrix.T[upper] = values
+    return DensityMatrix(matrix, n)
+
+
 def model_to_document(model: DetectorModel) -> dict:
+    form, density = _encode_density(model.dm)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -77,7 +124,9 @@ def model_to_document(model: DetectorModel) -> dict:
         "scale": _encode(model.scale),
         "weights": _encode(model.embedding.weights),
         "offsets": _encode(model.embedding.offsets),
-        "density": _encode(model.dm.matrix),
+        "form": form,
+        "sketch_bound": model.sketch_bound,
+        "density": density,
     }
 
 
@@ -85,8 +134,9 @@ def model_from_document(doc: dict) -> DetectorModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} document")
     try:
-        if _field(doc, "version", int) != FORMAT_VERSION:
-            raise ParseError(f"unsupported model version {doc['version']!r}")
+        version = _field(doc, "version", int)
+        if version not in (1, FORMAT_VERSION):
+            raise ParseError(f"unsupported model version {version!r}")
         d = _field(doc, "input_dim", int)
         embed_dim = _field(doc, "embed_dim", int)
         n = _field(doc, "sample_count", int)
@@ -97,15 +147,17 @@ def model_from_document(doc: dict) -> DetectorModel:
             input_dim=d,
             embed_dim=embed_dim,
         )
-        dm = DensityMatrix(_decode(doc["density"], (embed_dim, embed_dim)), n)
+        bound = None if version == 1 or doc["sketch_bound"] is None else _field(
+            doc, "sketch_bound", float)
         return DetectorModel(
             embedding=embedding,
-            dm=dm,
+            dm=_decode_density(doc, version, embed_dim, n),
             theta=_field(doc, "theta", float),
             anomaly_rate=_field(doc, "anomaly_rate", float),
             use_aff=_field(doc, "use_aff", bool),
             shift=_decode(doc["shift"], (d,)),
             scale=_decode(doc["scale"], (d,)),
+            sketch_bound=bound,
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc

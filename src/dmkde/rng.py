@@ -28,6 +28,7 @@ DOMAIN_SPLIT = 4
 DOMAIN_SYNTHETIC = 5
 DOMAIN_REFIT_SPLIT = 6
 DOMAIN_SIGMA_SUBSET = 7
+DOMAIN_NYSTROM = 8
 
 _TWO_PI = 2.0 * np.pi
 

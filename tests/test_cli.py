@@ -9,7 +9,16 @@ import pytest
 
 import dmkde
 from dmkde import f1_weighted, load_csv, load_model
-from dmkde.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from dmkde.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    canonical_json,
+    evaluate_model,
+    main,
+)
 from dmkde.modelio import model_to_document
 
 SPEC_DOC = {
@@ -159,6 +168,42 @@ class TestFit:
         assert main(["eval", str(dataset_path), "--model", str(model_path),
                      "--report", str(report), "--seed", "1"]) == EXIT_OK
         assert json.loads(report.read_text())["config"]["use_aff"] is False
+
+    # About 257 training rows: a sketch at D=512, none at D=64.
+    @pytest.mark.parametrize("extra, form, rank", [
+        ("embed_dim = 512\n", "factor", 96),
+        ("embed_dim = 512\nsigma = 0.02\n", "dense", 512),
+        ("", "dense", 64),
+    ])
+    def test_serving_form_reported(self, tmp_path, dataset_path, extra, form, rank):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", str(dataset_path), "--out", str(model_path),
+                     "--config", str(small_config(tmp_path, extra))]) == EXIT_OK
+        eval_path = tmp_path / "eval.json"
+        assert main(["eval", str(dataset_path), "--model", str(model_path),
+                     "--report", str(eval_path), "--seed", "1"]) == EXIT_OK
+        serving = json.loads(model_path.with_suffix(".report.json").read_text())["serving"]
+        assert json.loads(eval_path.read_text())["serving"] == serving
+        assert (serving["form"], serving["rank"]) == (form, rank)
+        bound = serving["sketch_bound"]
+        if rank == 64:
+            assert bound is None
+        else:  # a fallback to dense shows the bound that ruled the factor out
+            assert (bound <= 1e-9) == (form == "factor")
+
+    def test_factor_model_reloads_to_identical_eval_report(self, tmp_path, dataset_path):
+        model_path = tmp_path / "model.json"
+        cfg = small_config(tmp_path, "embed_dim = 512\n")
+        assert main(["fit", str(dataset_path), "--out", str(model_path),
+                     "--config", str(cfg)]) == EXIT_OK
+        ds = load_csv(dataset_path)
+        split = dmkde.stratified_split(ds, seed=1)
+        model, _ = dmkde.fit(ds.features[split.train], ds.features[split.val], ds.anomaly_rate,
+                             dmkde.FitConfig(sigma=load_model(model_path).embedding.sigma,
+                                             embed_dim=512, seed=1))
+        direct = evaluate_model(model, ds, 1)[0]
+        assert canonical_json(direct) == canonical_json(evaluate_model(load_model(model_path), ds, 1)[0])
+        assert direct["serving"]["form"] == "factor"
 
     def test_metrics_recomputable_from_predictions(self, tmp_path, dataset_path):
         model_path = tmp_path / "model.json"

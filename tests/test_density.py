@@ -19,7 +19,15 @@ from dmkde import (
     merge_density_matrices,
     qde_bruteforce,
 )
-from dmkde.density import _BLOCK, _LANES
+from dmkde.density import (
+    _BLOCK,
+    _LANES,
+    _RANK,
+    FACTOR_BOUND,
+    DensityFactor,
+    _nystrom,
+    sketch_density_matrix,
+)
 from tests.conftest import random_unit_vectors
 
 # Row counts around the kernel's block size: empty, one and two rows, and a
@@ -88,13 +96,15 @@ class TestBuild:
     def test_identical_across_blas_threads(self):
         # None of these widths is a multiple of 8; unpadded, each product
         # differs in its last bits between 1 and 2 OpenBLAS threads.  The
-        # probe covers the users of the block rule: embed, build, score, and
-        # the AFF kernel's loss and gradients over pair sets whose last row
-        # block holds 1 and 2 rows.
+        # probe covers the users of the block rule: embed, build, score, the
+        # Nystrom factor of 90 rows (n < D) and its scores, and the AFF
+        # kernel's loss and gradients over pair sets whose last row block
+        # holds 1 and 2 rows.
         probe = (
             "import hashlib, numpy as np\n"
             "from dmkde import build_density_matrix, embed, estimate_density_batch\n"
             "from dmkde import gaussian_kernel, sample_rff_params\n"
+            "from dmkde.density import DensityFactor, _nystrom\n"
             "from dmkde.embedding import _pair_kernel, _pair_set\n"
             "rng = np.random.default_rng(5)\n"
             "for dim in (100, 127, 511, 700):\n"
@@ -103,7 +113,9 @@ class TestBuild:
             "    dm = build_density_matrix(phi)\n"
             "    params = sample_rff_params(3, dim, 1.0, seed=dim)\n"
             "    embedded = embed(params, rng.normal(size=(257, 3)))\n"
-            "    for out in (dm.matrix, embedded, estimate_density_batch(dm, phi)):\n"
+            "    factor, _ = _nystrom(phi[:90], dim)\n"
+            "    scored = estimate_density_batch(DensityFactor(factor, 90), phi)\n"
+            "    for out in (dm.matrix, embedded, estimate_density_batch(dm, phi), factor, scored):\n"
             "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
             "    for n in (129, 130):\n"
             "        x = rng.normal(size=(n, 3))\n"
@@ -123,7 +135,7 @@ class TestBuild:
             out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                  text=True, check=True, timeout=60)
             outputs.append(out.stdout)
-        assert len(outputs[0].split()) == 20
+        assert len(outputs[0].split()) == 28
         assert outputs[0] == outputs[1]
 
 
@@ -303,3 +315,85 @@ class TestValidation:
         else:
             with pytest.raises(InvalidArgumentError, match="not symmetric"):
                 DensityMatrix(matrix, 50)
+
+
+def _phi(rng, n, dim, rank):
+    """``n`` unit rows in ``dim`` dimensions spanning ``rank`` of them; a
+    rank of ``n`` gives independent Gaussian rows."""
+    if rank >= n:
+        return random_unit_vectors(rng, n, dim)
+    rows = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestFactor:
+    # Widths from 2k = 192 up, many of them not a multiple of the lane
+    # width; ranks from 1, through k = 96, to full.
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2 * _RANK, 600), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_density_error_within_reported_bound(self, dim, data, seed):
+        n = data.draw(st.integers(1, min(dim - 1, 300)), label="n")
+        rank = data.draw(st.integers(1, n), label="rank")
+        rng = np.random.default_rng(seed)
+        phi = _phi(rng, n, dim, rank)
+        factor, beta = _nystrom(phi, seed)
+        assert factor is not None and factor.shape == (dim, _RANK)
+        # The proven bound: -nu <= phi^T R phi - ||F^T phi||^2 <= beta, and
+        # beta >= (D - k) nu.  Queries: random unit vectors and training rows.
+        queries = np.vstack([random_unit_vectors(rng, 64, dim), phi[:16]])
+        exact = estimate_density_batch(build_density_matrix(phi), queries)
+        sketched = np.einsum("ij,ij->i", queries @ factor, queries @ factor)
+        assert np.max(np.abs(exact - sketched)) <= beta
+
+    def test_rank_within_k_is_served_exactly(self):
+        rng = np.random.default_rng(21)
+        phi = _phi(rng, 150, 700, 40)
+        dm, beta = sketch_density_matrix(phi, 3)
+        assert isinstance(dm, DensityFactor) and (dm.rank, dm.embed_dim) == (_RANK, 700)
+        assert 0.0 <= beta <= FACTOR_BOUND and dm.sample_count == 150
+
+    def test_served_exactly_when_bound_is_small(self):
+        rng = np.random.default_rng(22)
+        outcomes = set()
+        for rank in (5, 60, 96, 150, 299):
+            phi = _phi(rng, 300, 512, rank)
+            dm, beta = sketch_density_matrix(phi, rank)
+            assert (dm is not None) == (beta <= FACTOR_BOUND)
+            outcomes.add(dm is not None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n, dim", [(300, 300), (400, 300), (50, 2 * _RANK - 1), (10, 16)])
+    def test_no_sketch_without_a_saving(self, n, dim):
+        # n >= D: R can be full rank; D < 2k: the factor is no smaller.
+        phi = random_unit_vectors(np.random.default_rng(23), n, dim)
+        assert sketch_density_matrix(phi, 1) == (None, None)
+
+    @pytest.mark.parametrize("dim", [200, 511, 1024])
+    def test_row_scores_alike_alone_and_in_any_batch(self, dim):
+        rng = np.random.default_rng(dim)
+        dm, _ = sketch_density_matrix(_phi(rng, 60, dim, 60), 4)
+        queries = random_unit_vectors(rng, 2 * _BLOCK + 1, dim)
+        batch = estimate_density_batch(dm, queries)
+        for cut in (1, 3, _BLOCK - 1, _BLOCK + 1):
+            parts = [estimate_density_batch(dm, queries[:cut]),
+                     estimate_density_batch(dm, queries[cut:])]
+            assert np.array_equal(np.concatenate(parts), batch)
+        for i in (0, 5, _BLOCK - 1, _BLOCK, 2 * _BLOCK):
+            assert estimate_density(dm, queries[i]) == batch[i]
+
+    def test_factor_padded_once(self):
+        rng = np.random.default_rng(24)
+        dm, _ = sketch_density_matrix(_phi(rng, 30, 203, 30), 5)
+        assert dm._padded.shape == (208, _RANK)
+        assert np.array_equal(dm._padded[:203], dm.factor) and not dm._padded[203:].any()
+
+    @pytest.mark.parametrize("factor, count, message", [
+        (np.ones(4), 1, "D x k"),
+        (np.full((2, 3), 1 / np.sqrt(6)), 1, "D x k"),
+        (np.eye(4, 2) / np.sqrt(2), 0, "sample_count"),
+        (np.array([[np.nan], [1.0]]), 1, "non-finite"),
+        (np.eye(4, 2), 1, "trace"),
+    ])
+    def test_rejects_invalid_factor(self, factor, count, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            DensityFactor(factor, count)

@@ -1,16 +1,20 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from dmkde import (
     AffConfig,
+    DensityMatrix,
     FitConfig,
     InsufficientDataError,
     InvalidArgumentError,
+    build_density_matrix,
     classify,
     compute_threshold,
+    embed,
+    estimate_density_batch,
     f1_weighted,
     fit,
     fit_with_internal_split,
@@ -18,8 +22,11 @@ from dmkde import (
     predict,
     predict_batch,
     score,
+    score_batch,
     stratified_split,
 )
+from dmkde.density import FACTOR_BOUND, DensityFactor
+from dmkde.detector import _CHUNK
 from dmkde.rng import stream
 from tests.conftest import two_cluster_spec
 from dmkde import generate_synthetic
@@ -156,6 +163,44 @@ class TestFit:
         assert all(predict(model, x) == (labels[k], densities[k])
                    for k, x in enumerate(pts[100:]))
 
+    def test_factor_val_densities_match_rescoring(self):
+        # 120 training rows at D=512: fit serves the rank-96 factor.
+        pts = gaussian_points(15, 200)
+        model, val_densities = fit(pts[:120], pts[120:], 0.1,
+                                   FitConfig(sigma=1.5, embed_dim=512, seed=4))
+        assert isinstance(model.dm, DensityFactor)
+        assert np.array_equal(val_densities, predict_batch(model, pts[120:])[1])
+
+    @pytest.mark.parametrize("sigma, embed_dim, form", [
+        (1.5, 512, DensityFactor),  # n < D, bound below FACTOR_BOUND
+        (0.05, 512, DensityMatrix),  # n < D, a narrow kernel: full rank
+        (1.5, 64, DensityMatrix),  # n >= D: no sketch
+    ])
+    def test_factor_served_exactly_when_bound_is_small(self, sigma, embed_dim, form):
+        pts = gaussian_points(16, 200)
+        model, _ = fit(pts[:120], pts[120:], 0.1,
+                       FitConfig(sigma=sigma, embed_dim=embed_dim, seed=4))
+        assert isinstance(model.dm, form)
+        if embed_dim <= 120:
+            assert model.sketch_bound is None
+        else:
+            assert (model.sketch_bound <= FACTOR_BOUND) == (form is DensityFactor)
+
+    def test_factor_densities_within_bound_of_dense(self):
+        pts = gaussian_points(17, 200)
+        model, val_densities = fit(pts[:120], pts[120:], 0.1,
+                                   FitConfig(sigma=1.5, embed_dim=512, seed=4))
+        dense = build_density_matrix(embed(model.embedding, model.standardize(pts[:120])))
+        exact = estimate_density_batch(dense, embed(model.embedding, model.standardize(pts[120:])))
+        assert np.max(np.abs(exact - val_densities)) <= model.sketch_bound
+
+    def test_factor_model_requires_a_small_bound(self):
+        pts = gaussian_points(15, 200)
+        model, _ = fit(pts[:120], pts[120:], 0.1, FitConfig(sigma=1.5, embed_dim=512, seed=4))
+        for bound in (None, 2 * FACTOR_BOUND, float("nan")):
+            with pytest.raises(InvalidArgumentError, match="sketch_bound"):
+                replace(model, sketch_bound=bound)
+
     def test_empty_sets_rejected(self):
         pts = gaussian_points(9, 10)
         with pytest.raises(InsufficientDataError):
@@ -209,6 +254,13 @@ class TestPredict:
     def test_dimension_mismatch(self, model):
         with pytest.raises(InvalidArgumentError):
             predict(model, np.zeros(3))
+
+    def test_chunked_scoring_is_bit_identical(self, model):
+        # More rows than one scoring chunk, with a short last chunk.
+        x = gaussian_points(18, _CHUNK + 77)
+        whole = estimate_density_batch(
+            model.dm, embed(model.embedding, model.standardize(x)))
+        assert np.array_equal(score_batch(model, x), whole)
 
     def test_score_independent_of_rate(self):
         pts = gaussian_points(11, 150)

@@ -1,10 +1,12 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from dmkde import FitConfig, ParseError, fit, load_model, predict, save_model
-from dmkde.modelio import model_from_document, model_to_document
+from dmkde import FitConfig, ParseError, fit, load_model, predict, predict_batch, save_model
+from dmkde.density import DensityFactor
+from dmkde.modelio import _encode, model_from_document, model_to_document
 from dmkde.rng import stream
 
 
@@ -60,13 +62,107 @@ class TestRoundTrip:
         assert predict(back, x) == predict(model, x)
 
 
+def make_factor_model(seed=0, embed_dim=300):
+    """A model served from the rank-96 factor: 80 training rows, D > 80."""
+    pts = stream(seed, 99).normal(size=(120, 3))
+    cfg = FitConfig(sigma=1.5, embed_dim=embed_dim, seed=seed)
+    model, _ = fit(pts[:80], pts[80:], 0.1, cfg)
+    assert isinstance(model.dm, DensityFactor)
+    return model
+
+
+class TestFormats:
+    # 37 and 300 are not multiples of the lane width.
+    @pytest.mark.parametrize("embed_dim", [37, 64])
+    def test_triangle_round_trip_is_bit_exact(self, tmp_path, embed_dim):
+        pts = stream(1, 99).normal(size=(300, 3))
+        model, _ = fit(pts[:200], pts[200:], 0.1, FitConfig(sigma=1.2, embed_dim=embed_dim))
+        doc = model_to_document(model)
+        assert doc["form"] == "dense" and doc["sketch_bound"] is None
+        assert len(base64.b64decode(doc["density"])) == 8 * embed_dim * (embed_dim + 1) // 2
+        save_model(model, tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        assert np.array_equal(back.dm.matrix, model.dm.matrix)
+
+    @pytest.mark.parametrize("embed_dim", [300, 512])
+    def test_factor_round_trip_is_bit_exact(self, tmp_path, embed_dim):
+        model = make_factor_model(seed=2, embed_dim=embed_dim)
+        save_model(model, tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        assert isinstance(back.dm, DensityFactor)
+        assert np.array_equal(back.dm.factor, model.dm.factor)
+        assert back.sketch_bound == model.sketch_bound
+        x = stream(7, 98).normal(size=(50, 3))
+        assert all(np.array_equal(a, b) for a, b in zip(predict_batch(back, x),
+                                                         predict_batch(model, x)))
+
+    def test_fallback_bound_round_trips_with_dense_form(self):
+        # A narrow kernel gives R a rank near n = 200 > k: the sketch's
+        # bound is too large to serve it.
+        pts = stream(3, 99).normal(size=(300, 3))
+        model, _ = fit(pts[:200], pts[200:], 0.1, FitConfig(sigma=0.05, embed_dim=300))
+        doc = model_to_document(model)
+        assert doc["form"] == "dense" and doc["sketch_bound"] > 1e-9
+        assert model_from_document(doc).sketch_bound == model.sketch_bound
+
+    def test_version_1_document_loads_and_predicts_identically(self):
+        model = make_model(seed=5)
+        doc = model_to_document(model)
+        del doc["form"], doc["sketch_bound"]
+        doc["version"] = 1
+        doc["density"] = _encode(model.dm.matrix)
+        back = model_from_document(doc)
+        assert np.array_equal(back.dm.matrix, model.dm.matrix) and back.sketch_bound is None
+        x = stream(6, 98).normal(size=(40, 3))
+        assert all(np.array_equal(a, b) for a, b in zip(predict_batch(back, x),
+                                                         predict_batch(model, x)))
+
+    @pytest.mark.parametrize("factor", [False, True])
+    @pytest.mark.parametrize("cut", [8, 1, -8])
+    def test_wrongly_sized_payload_rejected(self, factor, cut):
+        # Whole float64 values dropped (8 bytes), a partial value, or one
+        # value too many; a dense payload the size of the full matrix too.
+        doc = model_to_document(make_factor_model() if factor else make_model())
+        raw = base64.b64decode(doc["density"])
+        raw = raw[:-cut] if cut > 0 else raw + raw[:-cut]
+        doc["density"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ParseError):
+            model_from_document(doc)
+
+    def test_full_matrix_in_dense_form_rejected(self):
+        model = make_model()
+        doc = model_to_document(model)
+        doc["density"] = _encode(model.dm.matrix)
+        with pytest.raises(ParseError, match="values, expected shape"):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize("form", ["full", "Factor", None, 2])
+    def test_unknown_form_rejected(self, form):
+        doc = model_to_document(make_model())
+        doc["form"] = form
+        with pytest.raises(ParseError):
+            model_from_document(doc)
+
+    def test_factor_without_small_bound_rejected(self):
+        doc = model_to_document(make_factor_model())
+        for bound in (None, 1e-3, "1e-12"):
+            doc["sketch_bound"] = bound
+            with pytest.raises(ParseError):
+                model_from_document(doc)
+
+    def test_factor_payload_holds_d_by_k_values(self):
+        doc = model_to_document(make_factor_model(embed_dim=512))
+        assert doc["form"] == "factor"
+        assert len(base64.b64decode(doc["density"])) == 8 * 512 * 96
+
+
 class TestDocument:
     def test_canonical_field_order(self):
         doc = model_to_document(make_model())
         assert list(doc) == [
             "format", "version", "input_dim", "embed_dim", "sample_count",
             "sigma", "theta", "anomaly_rate", "use_aff", "shift", "scale",
-            "weights", "offsets", "density",
+            "weights", "offsets", "form", "sketch_bound", "density",
         ]
 
     def test_wrong_format_rejected(self):
@@ -147,4 +243,4 @@ class TestFiles:
         save_model(model, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["format"] == "dmkde-model"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
