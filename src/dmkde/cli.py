@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,6 @@ from .dataio import (
     LabeledDataset,
     SplitIndices,
     SyntheticSpec,
-    apply_standardizer,
-    fit_standardizer,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -41,7 +39,6 @@ from .detector import (
     predict_batch,
 )
 from .density import DensityFactor
-from .embedding import default_sigma_grid
 from .errors import ConfigError, InvalidArgumentError, ParseError
 from .modelio import load_model, save_model
 from .oracle import KDE_BANDWIDTH_RATIO, kde_exact_batch, reference_classifier
@@ -139,8 +136,6 @@ def _settings(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "no_standardize", False):
-        values["standardize"] = False
     return values
 
 
@@ -152,28 +147,6 @@ def _aff_config(settings: dict) -> AffConfig:
         holdout_pairs=settings["aff_holdout_pairs"],
         max_retries=settings["aff_max_retries"],
     )
-
-
-def _fit_config(settings: dict, sigma: float) -> FitConfig:
-    return FitConfig(
-        sigma=sigma,
-        embed_dim=settings["embed_dim"],
-        use_aff=settings["use_aff"],
-        aff=_aff_config(settings),
-        seed=settings["seed"],
-        standardize=settings["standardize"],
-    )
-
-
-def _default_grid(features: np.ndarray, standardize: bool, seed: int) -> list[float]:
-    """Bandwidth grid around the median pairwise distance in the fitted space.
-
-    Its middle entry, ``[2]``, is the median itself: the default sigma.
-    """
-    if standardize:
-        shift, scale = fit_standardizer(features)
-        features = apply_standardizer(features, shift, scale)
-    return default_sigma_grid(features, seed=seed)
 
 
 def _report(ds: LabeledDataset, split: SplitIndices, config: dict, model: DetectorModel,
@@ -225,11 +198,11 @@ def cmd_fit(args) -> int:
     rate = settings["anomaly_rate"]
     if rate is None:
         rate = ds.anomaly_rate
-    sigma = settings["sigma"]
-    if sigma is None:
-        sigma = _default_grid(train, settings["standardize"], settings["seed"])[2]
-    cfg = _fit_config(settings, sigma)
+    cfg = FitConfig(sigma=settings["sigma"], embed_dim=settings["embed_dim"],
+                    use_aff=settings["use_aff"], aff=_aff_config(settings),
+                    seed=settings["seed"], standardize=settings["standardize"])
     model, val_densities = fit(train, val, rate, cfg)
+    cfg = replace(cfg, sigma=model.embedding.sigma)  # fit picks one when none is set
     val_pred = classify_batch(val_densities, model.theta)
 
     out = Path(args.out)
@@ -319,9 +292,6 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
     if rate is None:
         rate = ds.anomaly_rate
 
-    sigmas = settings["grid_sigma"]
-    if sigmas is None:
-        sigmas = _default_grid(train, settings["standardize"], seed)
     embed_dims = settings["grid_embed_dim"]
     if embed_dims is None:
         embed_dims = [settings["embed_dim"]]
@@ -330,7 +300,7 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
         use_aff_options = [settings["use_aff"]]
 
     best_cfg, search_report = grid_search(
-        train, val, ds.labels[split.val], rate, sigmas, embed_dims,
+        train, val, ds.labels[split.val], rate, settings["grid_sigma"], embed_dims,
         use_aff_options, aff=_aff_config(settings), seed=seed, standardize=settings["standardize"],
     )
     combined = np.vstack([train, val])
@@ -459,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold quantile (default: label mean of the dataset)")
     p.add_argument("--test-frac", dest="test_frac", type=float, default=None)
     p.add_argument("--val-frac", dest="val_frac", type=float, default=None)
-    p.add_argument("--no-standardize", dest="no_standardize", action="store_true")
+    p.add_argument("--no-standardize", dest="standardize", action="store_const", const=False)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -479,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="grid search + refit + test metrics per dataset")
     p.add_argument("data", help="directory of labeled CSV datasets")
     p.add_argument("--out", required=True, help="output directory for reports and summary")
-    p.add_argument("--no-standardize", dest="no_standardize", action="store_true")
+    p.add_argument("--no-standardize", dest="standardize", action="store_const", const=False)
     _add_common(p)
     p.set_defaults(func=cmd_benchmark)
 

@@ -68,6 +68,9 @@ class DensityMatrix:
         # max(max M, -min M) is max |M| without a D x D temporary.
         if max(self.matrix.max(), -self.matrix.min()) > 1.0 + _ENTRY_TOL:
             raise InvalidArgumentError("matrix entries must lie in [-1, 1]")
+        # Padded to whole lanes once here, and ``matrix`` is a view of it.
+        self._padded = _pad_lanes(self.matrix, 0, 1)
+        self.matrix = self._padded[:self.embed_dim, :self.embed_dim]
 
     @property
     def embed_dim(self) -> int:
@@ -282,10 +285,9 @@ def estimate_density_batch(dm: DensityMatrix | DensityFactor, phis) -> np.ndarra
     if phis.shape[1] != dm.embed_dim:
         raise InvalidArgumentError(f"queries must have shape (m, {dm.embed_dim}), got {phis.shape}")
     factor = isinstance(dm, DensityFactor)
-    served = dm._padded if factor else _pad_lanes(dm.matrix, 0, 1)
     out = np.empty(phis.shape[0])
-    for start, count, block in _row_blocks(phis, served.shape[0]):
-        product = block @ served
+    for start, count, block in _row_blocks(phis, dm._padded.shape[0]):
+        product = block @ dm._padded
         out[start:start + count] = np.einsum(
             "ij,ij->i", product, product if factor else block)[:count]
     return out

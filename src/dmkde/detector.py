@@ -10,7 +10,7 @@ classify as anomalies; the boundary itself is normal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -26,7 +26,8 @@ from .density import (
     estimate_density_batch,
     sketch_density_matrix,
 )
-from .embedding import AffConfig, EmbeddingParams, embed, sample_rff_params, train_aff
+from .embedding import (AffConfig, EmbeddingParams, default_sigma_grid, embed,
+                        sample_rff_params, train_aff)
 from .errors import InsufficientDataError, InvalidArgumentError
 from .rng import DOMAIN_REFIT_SPLIT, stream
 
@@ -40,9 +41,10 @@ _CHUNK = 8 * _BLOCK
 
 @dataclass
 class FitConfig:
-    """Hyperparameters of one detector fit."""
+    """Hyperparameters of one detector fit.  ``sigma=None`` asks ``fit`` for
+    the median pairwise distance of the rows it trains on (see ``fit``)."""
 
-    sigma: float
+    sigma: float | None
     embed_dim: int
     use_aff: bool = False
     aff: AffConfig = field(default_factory=AffConfig)
@@ -50,13 +52,14 @@ class FitConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        self.sigma = float(self.sigma)
         self.embed_dim = int(self.embed_dim)
         self.use_aff = bool(self.use_aff)
         self.seed = int(self.seed)
         self.standardize = bool(self.standardize)
-        if self.sigma <= 0 or not math.isfinite(self.sigma):
-            raise InvalidArgumentError("sigma must be a positive finite real")
+        if self.sigma is not None:
+            self.sigma = float(self.sigma)
+            if self.sigma <= 0 or not math.isfinite(self.sigma):
+                raise InvalidArgumentError("sigma must be a positive finite real")
         if self.embed_dim < 1:
             raise InvalidArgumentError("embed_dim must be >= 1")
 
@@ -162,35 +165,48 @@ def classify_batch(densities, theta: float) -> np.ndarray:
     return np.where(np.asarray(densities) >= theta, NORMAL, ANOMALY).astype(np.int64)
 
 
+def _fitted_space(train, val, anomaly_rate, standardize: bool):
+    """``(train, val, shift, scale)``: both sets checked, then z-scored by the
+    standardizer fitted on ``train``, or as given (no shift or scale)."""
+    train = _feature_matrix(train, min_rows=1)
+    val = _feature_matrix(val, train.shape[1], min_rows=1)
+    if not (0.0 <= float(anomaly_rate) <= 1.0):
+        raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
+    if not standardize:
+        return train, val, None, None
+    shift, scale = fit_standardizer(train)
+    return (apply_standardizer(train, shift, scale), apply_standardizer(val, shift, scale),
+            shift, scale)
+
+
 def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
         cfg: FitConfig) -> tuple[DetectorModel, np.ndarray]:
     """Fit the full pipeline on unlabeled train/val feature matrices.
 
     Stages, in order: fit standardization on train (if enabled) and apply
-    it to both sets; sample Fourier parameters from ``cfg.seed``; refine
-    them adaptively, on pairs drawn from the same seed, when
-    ``cfg.use_aff`` (the model records whether that changed them); embed
-    the training rows and serve their density matrix as its rank-k
-    sketch when that is proven within ``FACTOR_BOUND`` (see
-    ``sketch_density_matrix``), else average their outer products;
-    estimate validation densities from the served form; set the threshold
-    at the ``anomaly_rate`` quantile.
+    it to both sets; sample Fourier parameters from ``cfg.seed`` at
+    ``cfg.sigma``, or when it is None at ``default_sigma_grid(train)[2]``,
+    the median pairwise distance of the standardized train; refine them
+    adaptively, on pairs drawn from the same seed, when ``cfg.use_aff``
+    (the model records whether that changed them); embed the training
+    rows and serve their density matrix as its rank-k sketch when that
+    is proven within ``FACTOR_BOUND`` (see ``sketch_density_matrix``),
+    else average their outer products; estimate validation densities
+    from the served form; set the threshold at the ``anomaly_rate`` quantile.
 
     Returns ``(model, val_densities)``.  The densities are bit-identical
     to ``predict_batch(model, val)[1]``, so callers need not score
     ``val`` again.
     """
-    train = _feature_matrix(train, min_rows=1)
-    val = _feature_matrix(val, train.shape[1], min_rows=1)
-    if not (0.0 <= float(anomaly_rate) <= 1.0):
-        raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
+    space = _fitted_space(train, val, anomaly_rate, cfg.standardize)
+    if cfg.sigma is None:
+        cfg = replace(cfg, sigma=default_sigma_grid(space[0], cfg.seed)[2])
+    return _fit_in_space(space, anomaly_rate, cfg)
 
-    shift = scale = None
-    if cfg.standardize:
-        shift, scale = fit_standardizer(train)
-        train = apply_standardizer(train, shift, scale)
-        val = apply_standardizer(val, shift, scale)
 
+def _fit_in_space(space: tuple, anomaly_rate: float, cfg: FitConfig):
+    """``fit`` on a ``_fitted_space`` result, at ``cfg.sigma``, which is set."""
+    train, val, shift, scale = space
     params = sample_rff_params(train.shape[1], cfg.embed_dim, cfg.sigma, cfg.seed)
     used_aff = False
     if cfg.use_aff:
@@ -259,16 +275,20 @@ def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
     ``val``, and returns ``(best_config, report)`` where the report holds
     one row per configuration in grid order (sigma outermost, then
     embed_dim, then use_aff).  Ties keep the earliest configuration.
+    ``sigmas=None`` is the ``default_sigma_grid`` of the standardized
+    train; as in ``fit``, standardization is fitted on ``train``, once.
     """
-    sigmas = list(sigmas)
     embed_dims = list(embed_dims)
     use_aff_options = list(use_aff_options)
-    if not sigmas or not embed_dims or not use_aff_options:
+    sigmas = None if sigmas is None else list(sigmas)
+    if sigmas == [] or not embed_dims or not use_aff_options:
         raise InvalidArgumentError("grid values must be nonempty")
+    space = _fitted_space(train, val, anomaly_rate, standardize)
     val_labels = np.asarray(val_labels, dtype=np.int64)
-    val = _feature_matrix(val)
-    if val_labels.shape != (val.shape[0],):
+    if val_labels.shape != (space[1].shape[0],):
         raise InvalidArgumentError("val_labels must align with val rows")
+    if sigmas is None:
+        sigmas = default_sigma_grid(space[0], seed)
 
     report = []
     best_cfg = None
@@ -276,7 +296,7 @@ def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
     for sigma, embed_dim, use_aff in product(sigmas, embed_dims, use_aff_options):
         cfg = FitConfig(sigma=sigma, embed_dim=embed_dim, use_aff=use_aff,
                         aff=aff or AffConfig(), seed=seed, standardize=standardize)
-        model, val_densities = fit(train, val, anomaly_rate, cfg)
+        model, val_densities = _fit_in_space(space, anomaly_rate, cfg)
         pred = classify_batch(val_densities, model.theta)
         row = {
             "sigma": float(sigma),

@@ -1,9 +1,10 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmkde import GaussianComponent, SyntheticSpec, generate_synthetic
+from dmkde import GaussianComponent, SyntheticSpec, fit_standardizer, generate_synthetic
 
 # Optional user-supplied ODDS conversions (see README for the recipe);
 # tests that need them skip when the files are absent.
@@ -34,3 +35,20 @@ def two_cluster_dataset():
 def random_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.normal(size=(count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.fixture()
+def standardizer_fits(monkeypatch):
+    """List that gains one entry per ``fit_standardizer`` call, made through
+    any module of the package that binds the name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit_standardizer(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "fit_standardizer", None)
+        if name.split(".")[0] == "dmkde" and bound is fit_standardizer:
+            monkeypatch.setattr(module, "fit_standardizer", counted)
+    return calls

@@ -151,6 +151,55 @@ class TestFit:
         assert np.array_equal(lib_model.embedding.weights, cli_model.embedding.weights)
         assert np.array_equal(lib_model.embedding.offsets, cli_model.embedding.offsets)
 
+    def test_library_fit_picks_the_cli_default_sigma(self, tmp_path, dataset_path):
+        # Without a sigma, `dmkde fit` and FitConfig(sigma=None) take the same
+        # median of the standardized training rows, and the report shows it.
+        model_path = tmp_path / "model.json"
+        assert main(["fit", str(dataset_path), "--out", str(model_path),
+                     "--config", str(small_config(tmp_path)), "--seed", "2"]) == EXIT_OK
+        cli_model = load_model(model_path)
+        ds = load_csv(dataset_path)
+        split = dmkde.stratified_split(ds, seed=2)
+        lib_model, _ = dmkde.fit(ds.features[split.train], ds.features[split.val],
+                                 ds.anomaly_rate, dmkde.FitConfig(sigma=None, embed_dim=64, seed=2))
+        assert lib_model.embedding.sigma == cli_model.embedding.sigma
+        assert np.array_equal(lib_model.embedding.weights, cli_model.embedding.weights)
+        assert np.array_equal(lib_model.embedding.offsets, cli_model.embedding.offsets)
+        assert np.array_equal(lib_model.dm.matrix, cli_model.dm.matrix)
+        assert lib_model.theta == cli_model.theta
+        report = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert report["config"]["sigma"] == cli_model.embedding.sigma
+
+    def test_standardizer_fitted_once_per_command(self, tmp_path, dataset_path,
+                                                 standardizer_fits):
+        # fit without a sigma: the fit itself; benchmark: the search and the refit.
+        cfg = small_config(tmp_path, "grid_embed_dim = 64\n")
+        assert main(["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+                     "--config", str(cfg)]) == EXIT_OK
+        assert len(standardizer_fits) == 1
+        data_dir = tmp_path / "bench_data"
+        data_dir.mkdir()
+        (data_dir / "two_cluster.csv").write_bytes(dataset_path.read_bytes())
+        assert main(["benchmark", str(data_dir), "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_OK
+        assert len(standardizer_fits) == 3
+
+    def test_no_standardize_flag_equals_config_key(self, tmp_path, dataset_path):
+        key_cfg = tmp_path / "key.cfg"
+        key_cfg.write_text("embed_dim = 64\nseed = 1\nstandardize = false\n", encoding="utf-8")
+        runs = {"flag": (small_config(tmp_path), ["--no-standardize"]), "key": (key_cfg, [])}
+        models = {}
+        for tag, (cfg, flags) in runs.items():
+            model_path = tmp_path / f"model_{tag}.json"
+            assert main(["fit", str(dataset_path), "--out", str(model_path),
+                         "--config", str(cfg)] + flags) == EXIT_OK
+            doc = json.loads(model_path.read_text())
+            assert doc["shift"] is None and doc["scale"] is None
+            report = json.loads(model_path.with_suffix(".report.json").read_text())
+            assert report["config"]["standardize"] is False
+            models[tag] = model_path.read_bytes()
+        assert models["flag"] == models["key"]
+
     def test_aff_fallback_is_reported(self, tmp_path, dataset_path):
         # A divergent learning rate keeps the random features: the fit
         # report still shows the requested settings, the model and its

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from dmkde.density import (
     FACTOR_BOUND,
     DensityFactor,
     _nystrom,
+    _pad_lanes,
+    _row_blocks,
     sketch_density_matrix,
 )
 from tests.conftest import random_unit_vectors
@@ -228,6 +231,45 @@ class TestEstimateBatch:
         batch = estimate_density_batch(dm, queries)
         single = np.array([estimate_density(dm, q) for q in queries])
         assert np.array_equal(batch, single)
+
+
+class TestPaddedOnce:
+    """Dense R is padded to whole lanes when the matrix is made; ``matrix``
+    is a view of that buffer and scoring reads it, so no call copies R."""
+
+    @pytest.mark.parametrize("dim", [1020, 1024])
+    def test_scores_keep_their_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        dm = build_density_matrix(random_unit_vectors(rng, 300, dim))
+        queries = random_unit_vectors(rng, _BLOCK + 3, dim)
+        # Reference: the same scoring rule with R padded on the call.
+        padded = _pad_lanes(np.ascontiguousarray(dm.matrix), 0, 1)
+        expected = np.empty(len(queries))
+        for start, count, block in _row_blocks(queries, padded.shape[0]):
+            expected[start:start + count] = np.einsum("ij,ij->i", block @ padded, block)[:count]
+        assert np.array_equal(estimate_density_batch(dm, queries), expected)
+        assert dm._padded.shape == (padded.shape[0],) * 2
+        assert np.shares_memory(dm.matrix, dm._padded)
+        assert not dm._padded[dim:].any() and not dm._padded[:, dim:].any()
+
+    def test_aligned_matrix_is_not_copied(self):
+        rng = np.random.default_rng(3)
+        matrix = build_density_matrix(random_unit_vectors(rng, 20, 64)).matrix.copy()
+        dm = DensityMatrix(matrix, 20)
+        assert dm._padded is matrix and np.shares_memory(dm.matrix, matrix)
+
+    def test_one_row_call_allocates_no_copy_of_r(self):
+        dim = 1020
+        rng = np.random.default_rng(4)
+        dm = build_density_matrix(random_unit_vectors(rng, 300, dim))
+        query = random_unit_vectors(rng, 1, dim)
+        tracemalloc.start()
+        try:
+            estimate_density_batch(dm, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dim * dim
 
 
 class TestKernelProperties:

@@ -3,6 +3,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkde import (
     AffConfig,
@@ -10,13 +12,18 @@ from dmkde import (
     FitConfig,
     InsufficientDataError,
     InvalidArgumentError,
+    accuracy,
+    apply_standardizer,
     build_density_matrix,
     classify,
     compute_threshold,
+    default_sigma_grid,
     embed,
     estimate_density_batch,
+    f1_anomaly,
     f1_weighted,
     fit,
+    fit_standardizer,
     fit_with_internal_split,
     grid_search,
     predict,
@@ -26,7 +33,7 @@ from dmkde import (
     stratified_split,
 )
 from dmkde.density import FACTOR_BOUND, DensityFactor
-from dmkde.detector import _CHUNK
+from dmkde.detector import _CHUNK, classify_batch
 from dmkde.rng import stream
 from tests.conftest import two_cluster_spec
 from dmkde import generate_synthetic
@@ -318,6 +325,55 @@ class TestGridSearch:
         train, val, labels, rate = dataset
         with pytest.raises(InvalidArgumentError):
             grid_search(train, val, labels[:-1], rate, [1.0], [64], seed=1)
+
+
+class TestSearchInOneSpace:
+    """The search standardizes once; each row is still the independent fit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(6, 40), m=st.integers(6, 40), d=st.integers(1, 4),
+           standardize=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           sigmas=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=3),
+           rate=st.floats(0.0, 0.5))
+    def test_rows_equal_independent_fits(self, n, m, d, standardize, seed, sigmas, rate):
+        rng = np.random.default_rng(seed)
+        shift, scale = rng.normal(size=d) * 10, np.exp(rng.normal(size=d))
+        train = rng.normal(size=(n, d)) * scale + shift
+        val = rng.normal(size=(m, d)) * 2 * scale + shift
+        labels = rng.integers(0, 2, size=m)
+        fit_seed = seed % 7
+        _, report = grid_search(train, val, labels, rate, sigmas, [16], seed=fit_seed,
+                                standardize=standardize)
+        for row, sigma in zip(report, sigmas):
+            model, densities = fit(train, val, rate, FitConfig(
+                sigma=sigma, embed_dim=16, seed=fit_seed, standardize=standardize))
+            pred = classify_batch(densities, model.theta)
+            assert row["theta"] == model.theta
+            assert (row["f1_weighted"], row["f1_anomaly"], row["accuracy"]) == (
+                f1_weighted(labels, pred), f1_anomaly(labels, pred), accuracy(labels, pred))
+
+        fitted = apply_standardizer(train, *fit_standardizer(train)) if standardize else train
+        explicit = grid_search(train, val, labels, rate, default_sigma_grid(fitted, fit_seed),
+                               [16], seed=fit_seed, standardize=standardize)
+        assert grid_search(train, val, labels, rate, None, [16], seed=fit_seed,
+                           standardize=standardize) == explicit
+
+    def test_one_standardizer_fit_per_search(self, dataset, standardizer_fits):
+        train, val, labels, rate = dataset
+        grid_search(train, val, labels, rate, [0.5, 1.0, 2.0], [32, 64], seed=1)
+        assert len(standardizer_fits) == 1
+        grid_search(train, val, labels, rate, None, [32], seed=1)
+        assert len(standardizer_fits) == 2
+
+    def test_default_sigma_is_the_median_of_the_fitted_train(self, dataset, standardizer_fits):
+        train, val, _, rate = dataset
+        model, _ = fit(train, val, rate, FitConfig(sigma=None, embed_dim=32, seed=5))
+        assert len(standardizer_fits) == 1
+        fitted = apply_standardizer(train, model.shift, model.scale)
+        assert model.embedding.sigma == default_sigma_grid(fitted, 5)[2]
+        same, _ = fit(train, val, rate, FitConfig(sigma=model.embedding.sigma, embed_dim=32,
+                                                  seed=5))
+        assert np.array_equal(same.dm.matrix, model.dm.matrix) and same.theta == model.theta
 
 
 class TestFitWithInternalSplit:
