@@ -63,13 +63,9 @@ _CONFIG = {
     "standardize": ("bool", FitConfig.standardize),
     "seed": ("int", FitConfig.seed),
     "anomaly_rate": ("float", None),
-    "test_frac": ("float", 0.3),
-    "val_frac": ("float", 0.3),
     "aff_num_pairs": ("int", AffConfig.num_pairs),
     "aff_epochs": ("int", AffConfig.epochs),
     "aff_learning_rate": ("float", AffConfig.learning_rate),
-    "aff_holdout_pairs": ("int", AffConfig.holdout_pairs),
-    "aff_max_retries": ("int", AffConfig.max_retries),
     "grid_sigma": ("float_list", None),
     "grid_embed_dim": ("int_list", None),
     "grid_use_aff": ("bool_list", None),
@@ -144,8 +140,6 @@ def _aff_config(settings: dict) -> AffConfig:
         num_pairs=settings["aff_num_pairs"],
         epochs=settings["aff_epochs"],
         learning_rate=settings["aff_learning_rate"],
-        holdout_pairs=settings["aff_holdout_pairs"],
-        max_retries=settings["aff_max_retries"],
     )
 
 
@@ -192,7 +186,7 @@ def _write_predictions(path, indices, densities, labels, truths) -> None:
 def cmd_fit(args) -> int:
     settings = _settings(args)
     ds = load_csv(args.data, label_column=args.label_column)
-    split = stratified_split(ds, settings["test_frac"], settings["val_frac"], settings["seed"])
+    split = stratified_split(ds, seed=settings["seed"])
     train = ds.features[split.train]
     val = ds.features[split.val]
     rate = settings["anomaly_rate"]
@@ -218,15 +212,15 @@ def cmd_fit(args) -> int:
 
 
 def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
-                   test_frac: float = 0.3, val_frac: float = 0.3,
                    with_oracle: bool = False) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Score the test split of ``ds`` under ``model``.
+    """Score the test split of ``ds`` under ``model``: the split's fractions
+    are fixed, so under the fit's ``seed`` no row the fit saw is scored.
 
     Returns the report document plus (test indices, densities, predicted labels);
     shared by ``eval`` and the acceptance suite so both produce identical
     report documents for identical inputs.
     """
-    split = stratified_split(ds, test_frac, val_frac, seed)
+    split = stratified_split(ds, seed=seed)
     test = ds.features[split.test]
     pred, densities = predict_batch(model, test)
 
@@ -260,10 +254,8 @@ def cmd_eval(args) -> int:
     settings = _settings(args)
     model = load_model(args.model)
     ds = load_csv(args.data, label_column=args.label_column)
-    report, test_idx, densities, pred = evaluate_model(
-        model, ds, settings["seed"], settings["test_frac"], settings["val_frac"],
-        with_oracle=args.oracle,
-    )
+    report, test_idx, densities, pred = evaluate_model(model, ds, settings["seed"],
+                                                       with_oracle=args.oracle)
     report_path = Path(args.report) if args.report else Path(args.data).with_suffix(".eval.json")
     report_path.write_text(canonical_json(report), encoding="utf-8")
     pred_path = (Path(args.predictions) if args.predictions
@@ -285,7 +277,7 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
     prediction columns (test indices, densities, labels, truths).
     """
     seed = settings["seed"]
-    split = stratified_split(ds, settings["test_frac"], settings["val_frac"], seed)
+    split = stratified_split(ds, seed=seed)
     train, val, test = (ds.features[split.train], ds.features[split.val],
                         ds.features[split.test])
     rate = settings["anomaly_rate"]
@@ -427,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refine the embedding by gradient descent")
     p.add_argument("--anomaly-rate", dest="anomaly_rate", type=float, default=None,
                    help="threshold quantile (default: label mean of the dataset)")
-    p.add_argument("--test-frac", dest="test_frac", type=float, default=None)
-    p.add_argument("--val-frac", dest="val_frac", type=float, default=None)
     p.add_argument("--no-standardize", dest="standardize", action="store_const", const=False)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
@@ -441,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-sample CSV path (default: <report>.predictions.csv)")
     p.add_argument("--oracle", action="store_true",
                    help="also report agreement with the exact-KDE reference")
-    p.add_argument("--test-frac", dest="test_frac", type=float, default=None)
-    p.add_argument("--val-frac", dest="val_frac", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

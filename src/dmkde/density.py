@@ -175,7 +175,9 @@ def build_density_matrix(embeddings) -> DensityMatrix:
         raise InsufficientDataError("cannot build a density matrix from zero embeddings")
     n, dim = phi.shape
     phi = _pad_lanes(phi, 1)
-    return DensityMatrix((phi.T @ phi)[:dim, :dim] / n, n)
+    r = phi.T @ phi
+    r /= n  # in place: R is the build's largest array
+    return DensityMatrix(r[:dim, :dim], n)
 
 
 def sketch_density_matrix(embeddings: np.ndarray,
@@ -200,7 +202,7 @@ def sketch_density_matrix(embeddings: np.ndarray,
 
 def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, float]:
     """Nystrom factor ``F`` of ``R = Phi^T Phi / n``, never forming ``R``,
-    and its bound ``beta``; ``(None, inf)`` when the Cholesky fails.
+    and its bound ``beta``; ``(None, inf)`` when the sketch fails.
 
     With a seeded Gaussian ``Omega`` (D x k, rng domain ``DOMAIN_NYSTROM``),
     ``Y = Phi^T (Phi Omega) / n`` is summed over the blocks of the block
@@ -210,9 +212,14 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     from below): ``Y_nu = Y + nu Omega``, ``C = chol(Omega^T Y_nu)`` and
     ``F = Y_nu C^-T``.  ``F F^T`` is the Nystrom approximation of the PSD
     matrix ``R + nu I``, so ``F F^T <= R + nu I`` and, for every unit
-    ``phi``, ``-nu <= phi^T R phi - ||F^T phi||^2 <= tr(R + nu I - F F^T)
-    = beta = (1 - ||F||_F^2) + D nu``.  As ``beta >= (D - k) nu``, ``beta``
-    bounds the error both ways once ``D > k``.
+    ``phi``, ``-nu <= phi^T R phi - ||F^T phi||^2 <= T = tr(R + nu I - F F^T)
+    = (tr R - ||F||_F^2) + D nu``, and ``T >= (D - k) nu`` as at most k
+    eigenvalues of ``R + nu I - F F^T`` lie below ``nu``.  With unit
+    roundoff ``u``, unit rows give ``|tr R - 1| <= (D + 4) u`` and the sum
+    ``||F||_F^2`` errs by at most ``(D k + 1) u`` (Higham, 2002, ch. 3), so
+    ``beta = (1 - ||F||_F^2) + D (nu + 2 (k + 1) u) >= T`` bounds the error
+    both ways once ``D > k``.  A ``beta`` below ``(D - k) nu`` shows an
+    error in the computed ``F`` itself: the sketch fails.
     """
     n, dim = embeddings.shape
     width = -(-dim // _LANES) * _LANES
@@ -231,7 +238,10 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     for start, count, block in _row_blocks(y, _RANK):
         factor[start:start + count] = (block @ inverse)[:count]
     factor = factor[:dim]
-    return factor, float((1.0 - np.sum(factor * factor)) + dim * nu)
+    beta = float((1.0 - np.sum(factor * factor)) + dim * (nu + (_RANK + 1) * np.finfo(float).eps))
+    if not beta >= (dim - _RANK) * nu:
+        return None, float("inf")
+    return factor, beta
 
 
 def merge_density_matrices(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -35,6 +35,8 @@ from .rng import (
 
 _TWO_PI = 2.0 * np.pi
 _SIGMA_SUBSET = 1000
+_HOLDOUT_PAIRS = 1000
+_MAX_RETRIES = 3
 
 
 @dataclass
@@ -83,36 +85,28 @@ class AffConfig:
     """Gradient-descent settings for adaptive Fourier-feature training.
 
     ``num_pairs`` training pairs are sampled once (uniform indices,
-    distinct within a pair) and reused every epoch; ``holdout_pairs``
-    further pairs from an independent stream guard against regressions.
-    If training worsens the held-out kernel-matching MSE, it restarts
-    from the initial parameters with the learning rate halved, up to
-    ``max_retries`` times, and falls back to the initial parameters when
-    every retry fails.
+    distinct within a pair) and reused every epoch; ``_HOLDOUT_PAIRS``
+    (1000) further pairs from an independent stream guard against
+    regressions.  If training worsens the held-out kernel-matching MSE or
+    diverges, it restarts from the initial parameters with the learning
+    rate halved, up to ``_MAX_RETRIES`` (3) times, and falls back to the
+    initial parameters when every retry fails.
     """
 
     num_pairs: int = 10_000
     epochs: int = 1000
     learning_rate: float = 1e-3
-    holdout_pairs: int = 1000
-    max_retries: int = 3
 
     def __post_init__(self):
         self.num_pairs = int(self.num_pairs)
         self.epochs = int(self.epochs)
         self.learning_rate = float(self.learning_rate)
-        self.holdout_pairs = int(self.holdout_pairs)
-        self.max_retries = int(self.max_retries)
         if self.num_pairs < 1:
             raise InvalidArgumentError("num_pairs must be >= 1")
         if self.epochs < 0:
             raise InvalidArgumentError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise InvalidArgumentError("learning_rate must be > 0")
-        if self.holdout_pairs < 1:
-            raise InvalidArgumentError("holdout_pairs must be >= 1")
-        if self.max_retries < 0:
-            raise InvalidArgumentError("max_retries must be >= 0")
 
 
 def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -> EmbeddingParams:
@@ -334,10 +328,12 @@ def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> floa
     """Mean squared kernel-matching error over the given sample pairs.
 
     The residual per pair is the raw-embedding inner product minus the
-    exact Gaussian kernel value at ``params.sigma``.
+    exact Gaussian kernel value at ``params.sigma``, for pairs ``(lhs[p], rhs[p])``.
     """
-    lhs = np.asarray(lhs, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
+    lhs = _feature_matrix(lhs, params.input_dim, min_rows=1)
+    rhs = _feature_matrix(rhs, params.input_dim, min_rows=1)
+    if lhs.shape != rhs.shape:
+        raise InvalidArgumentError(f"lhs and rhs differ in shape: {lhs.shape}, {rhs.shape}")
     targets = gaussian_kernel(lhs, rhs, params.sigma)
     loss, _, _ = _loss_and_grad(params.weights, params.offsets, lhs, rhs, targets, False)
     return loss
@@ -373,7 +369,7 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig,
 
     n = features.shape[0]
     pi, pj = _sample_pair_indices(stream(seed, DOMAIN_AFF_PAIRS), n, cfg.num_pairs)
-    hi, hj = _sample_pair_indices(stream(seed, DOMAIN_AFF_HOLDOUT), n, cfg.holdout_pairs)
+    hi, hj = _sample_pair_indices(stream(seed, DOMAIN_AFF_HOLDOUT), n, _HOLDOUT_PAIRS)
     # Keep the holdout sample disjoint from the training pairs where possible.
     keep = ~np.isin(hi * n + hj, pi * n + pj)
     if keep.any():
@@ -387,7 +383,7 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig,
         return _pair_kernel(weights, offsets, hold_pairs, False)[0]
 
     baseline_mse = holdout_mse(init.weights, init.offsets)
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         lr = cfg.learning_rate / (2.0 ** attempt)
         weights = init.weights.copy()
         offsets = init.offsets.copy()

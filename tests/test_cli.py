@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,8 @@ from dmkde.cli import (
     EXIT_PARSE,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    _CONFIG,
+    build_parser,
     canonical_json,
     evaluate_model,
     main,
@@ -206,7 +210,7 @@ class TestFit:
         # eval report show that AFF was not used.
         cfg = tmp_path / "aff.cfg"
         cfg.write_text("embed_dim = 32\naff_num_pairs = 200\naff_epochs = 20\n"
-                       "aff_learning_rate = 1e9\naff_max_retries = 1\n", encoding="utf-8")
+                       "aff_learning_rate = 1e9\n", encoding="utf-8")
         model_path = tmp_path / "model_aff.json"
         assert main(["fit", str(dataset_path), "--out", str(model_path),
                      "--config", str(cfg), "--use-aff", "--seed", "1"]) == EXIT_OK
@@ -428,6 +432,52 @@ class TestUsage:
                 "predict": ["predict", str(tmp_path / "d.csv"),
                             "--model", str(tmp_path / "m.json")]}[command]
         assert main(argv + ["--out", str(tmp_path / "o.csv"), flag, "1"]) == EXIT_USAGE
+
+
+class TestFixedProtocol:
+    """The split fractions and AFF's holdout size and retry count are
+    constants: no config key or flag sets them."""
+
+    @pytest.mark.parametrize("key", ["test_frac", "val_frac", "aff_holdout_pairs",
+                                     "aff_max_retries"])
+    def test_config_key_is_unknown(self, tmp_path, dataset_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert main(["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("flag", ["--test-frac", "--val-frac"])
+    def test_flag_is_a_usage_error(self, tmp_path, command, flag):
+        target = "--out" if command == "fit" else "--model"
+        assert main([command, str(tmp_path / "d.csv"), target, str(tmp_path / "m.json"),
+                     flag, "0.3"]) == EXIT_USAGE
+
+
+class TestReadme:
+    """The README's config block and flags table match the parser."""
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_config_block_lists_every_key(self):
+        block = self.text.split("### Config files", 1)[1].split("```", 2)[1]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+                if "=" in line and not line.lstrip().startswith("#")]
+        assert sorted(keys) == sorted(_CONFIG)
+
+    def test_flags_table_lists_every_option(self):
+        table = self.text.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            command, flags = row.strip("|").split("|")
+            documented[command.strip(" `").split()[0]] = sorted(re.findall(r"`(--[\w-]+)`", flags))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actual = {name: sorted(s for a in p._actions for s in a.option_strings
+                               if s not in ("-h", "--help"))
+                  for name, p in sub.choices.items()}
+        assert documented == actual
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, dataset_path):

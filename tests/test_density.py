@@ -69,6 +69,18 @@ class TestBuild:
         with pytest.raises(InsufficientDataError):
             build_density_matrix([])
 
+    def test_build_holds_one_copy_of_r(self):
+        # Phi^T Phi is divided by n in place, not into a second D x D array.
+        dim = 1024
+        phis = random_unit_vectors(np.random.default_rng(7), 300, dim)
+        tracemalloc.start()
+        try:
+            build_density_matrix(phis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * dim * dim
+
     def test_mixed_dimensions(self):
         with pytest.raises(InvalidArgumentError):
             build_density_matrix([np.zeros(3), np.zeros(4)])
@@ -386,6 +398,19 @@ class TestFactor:
         exact = estimate_density_batch(build_density_matrix(phi), queries)
         sketched = np.einsum("ij,ij->i", queries @ factor, queries @ factor)
         assert np.max(np.abs(exact - sketched)) <= beta
+
+    def test_bound_covers_roundoff(self):
+        # Roundoff lifts the computed ||F||_F^2 above 1 by more than D nu
+        # here; without a roundoff term beta came out at -6.7e-13, below a
+        # density gap of 3.3e-13.
+        rng = np.random.default_rng(0)
+        phi = _phi(rng, 63, 340, 39)
+        factor, beta = _nystrom(phi, 0)
+        queries = np.vstack([random_unit_vectors(rng, 64, 340), phi[:16]])
+        exact = estimate_density_batch(build_density_matrix(phi), queries)
+        sketched = np.einsum("ij,ij->i", queries @ factor, queries @ factor)
+        assert np.sum(factor * factor) > 1.0
+        assert 0.0 < np.max(np.abs(exact - sketched)) <= beta <= FACTOR_BOUND
 
     def test_rank_within_k_is_served_exactly(self):
         rng = np.random.default_rng(21)

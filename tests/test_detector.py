@@ -42,15 +42,13 @@ from dmkde import generate_synthetic
 class TestFitConfig:
     def test_numpy_scalars_serialize(self):
         # The fit and benchmark reports write asdict(config) as JSON.
-        aff = AffConfig(num_pairs=np.int64(5), epochs=np.int64(2), learning_rate=np.float32(0.25),
-                        holdout_pairs=np.int64(4), max_retries=np.int64(1))
+        aff = AffConfig(num_pairs=np.int64(5), epochs=np.int64(2), learning_rate=np.float32(0.25))
         cfg = FitConfig(sigma=np.float64(0.5), embed_dim=np.int64(16), use_aff=np.bool_(True),
                         aff=aff, seed=np.int64(3), standardize=np.bool_(False))
         doc = json.loads(json.dumps(asdict(cfg)))
         assert (doc["embed_dim"], doc["use_aff"], doc["seed"], doc["standardize"]) == (
             16, True, 3, False)
-        assert doc["aff"] == {"num_pairs": 5, "epochs": 2, "learning_rate": 0.25,
-                              "holdout_pairs": 4, "max_retries": 1}
+        assert doc["aff"] == {"num_pairs": 5, "epochs": 2, "learning_rate": 0.25}
 
 
 class TestComputeThreshold:
@@ -227,8 +225,7 @@ class TestFit:
     def test_divergent_aff_records_use_aff_false(self):
         pts = gaussian_points(10, 100)
         cfg = FitConfig(sigma=1.0, embed_dim=16, use_aff=True, seed=3,
-                        aff=AffConfig(num_pairs=200, epochs=50, learning_rate=1e9,
-                                      max_retries=1))
+                        aff=AffConfig(num_pairs=200, epochs=50, learning_rate=1e9))
         model, _ = fit(pts[:70], pts[70:], 0.1, cfg)
         plain, _ = fit(pts[:70], pts[70:], 0.1, FitConfig(sigma=1.0, embed_dim=16, seed=3))
         assert model.use_aff is False

@@ -18,6 +18,7 @@ from dmkde import (
 )
 from dmkde.embedding import (
     _BLOCK,
+    _HOLDOUT_PAIRS,
     EmbeddingParams,
     _loss_and_grad,
     _normalize_rows,
@@ -214,19 +215,19 @@ class TestTrainAff:
 
     def test_divergent_rate_falls_back_to_init(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=6)
-        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=1e9, max_retries=1)
+        cfg = AffConfig(num_pairs=200, epochs=50, learning_rate=1e9)
         out = train_aff(init, features, cfg, 1)
         assert np.array_equal(out.weights, init.weights)
         assert np.array_equal(out.offsets, init.offsets)
 
     def test_result_never_worse_on_holdout(self, features):
         init = sample_rff_params(2, 32, 1.0, seed=8)
-        cfg = AffConfig(num_pairs=500, epochs=100, learning_rate=0.5, max_retries=2)
+        cfg = AffConfig(num_pairs=500, epochs=100, learning_rate=0.5)
         trained = train_aff(init, features, cfg, 2)
         from dmkde.rng import DOMAIN_AFF_HOLDOUT, stream
         from dmkde.embedding import _sample_pair_indices
         hi, hj = _sample_pair_indices(stream(2, DOMAIN_AFF_HOLDOUT),
-                                      len(features), cfg.holdout_pairs)
+                                      len(features), _HOLDOUT_PAIRS)
         assert (pair_loss(trained, features[hi], features[hj])
                 <= pair_loss(init, features[hi], features[hj]) + 1e-12)
 
@@ -320,6 +321,19 @@ class TestPairKernel:
         assert np.array_equal(pairs.rows[pairs.left, 0], i)
         assert np.array_equal(pairs.rows[pairs.right, 0], j)
         assert np.all(np.diff(pairs.owner) >= 0)
+
+
+class TestPairLoss:
+    @pytest.mark.parametrize("lhs, rhs, error, message", [
+        (np.array([[0.0, np.nan]]), np.zeros((1, 2)), InvalidArgumentError, "non-finite"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), InvalidArgumentError, "2 columns"),
+        (np.zeros((2, 2)), np.zeros((3, 2)), InvalidArgumentError, "differ in shape"),
+        (np.zeros((0, 2)), np.zeros((0, 2)), InsufficientDataError, "at least 1"),
+    ])
+    def test_rejects_invalid_pairs(self, lhs, rhs, error, message):
+        params = sample_rff_params(2, 8, 1.0, seed=0)
+        with pytest.raises(error, match=message):
+            pair_loss(params, lhs, rhs)
 
 
 class TestSigmaGrid:
