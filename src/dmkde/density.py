@@ -17,6 +17,9 @@ serves it instead as a rank-``_RANK`` Nystrom factor ``F`` with
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +35,11 @@ _ENTRY_TOL = 1e-12
 # position and thread count, so an unpadded row can change in its last bit
 # with its batch or the thread count.  Every GEMM of embed, AFF, build and
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
-# _LANES (_row_blocks, _pad_lanes).  The block bounds scoring temporaries to
-# 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row one.
+# _LANES (_for_blocks, _load, _pad_lanes).  The block bounds scoring
+# temporaries to 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row
+# one.  As no row's bits depend on the others, blocks may run at once, in any
+# order, on the _WORKERS threads of _for_blocks; a sum over blocks is still
+# added in block order, so it keeps its bits at any worker count.
 _BLOCK = 128
 _LANES = 8
 # The Nystrom factor's rank, a constant: a 96-square Cholesky factor and
@@ -125,27 +131,155 @@ def _max_asymmetry(matrix: np.ndarray) -> float:
 
 
 def _pad_lanes(a: np.ndarray, *axes: int) -> np.ndarray:
-    """``a`` zero-padded along ``axes`` to whole lanes; ``a`` itself if aligned."""
+    """``a`` zero-padded along ``axes`` to whole lanes: ``a`` itself if
+    aligned, the array ``a`` is the top-left view of if that is ``a`` padded
+    with zeros already (as ``build_density_matrix`` leaves R), else a copy."""
     shape = list(a.shape)
     for axis in axes:
         shape[axis] = -(-shape[axis] // _LANES) * _LANES
     if tuple(shape) == a.shape:
         return a
+    base = a.base
+    if (isinstance(base, np.ndarray) and base.shape == tuple(shape)
+            and base.dtype == a.dtype and base.strides == a.strides
+            and base.ctypes.data == a.ctypes.data
+            and not any(base[(slice(None),) * axis + (slice(a.shape[axis], None),)].any()
+                        for axis in axes)):
+        return base
     padded = np.zeros(shape)
     padded[tuple(slice(0, size) for size in a.shape)] = a
     return padded
 
 
-def _row_blocks(rows: np.ndarray, width: int):
-    """Yield ``(start, count, block)``: ``rows[start:start + count]`` in the
-    top-left of one reused, zeroed ``(_BLOCK, width)`` buffer."""
-    block = np.zeros((_BLOCK, width))
-    m, dim = rows.shape
-    for start in range(0, m, _BLOCK):
-        count = min(_BLOCK, m - start)
-        block[:count, :dim] = rows[start:start + count]
-        block[count:] = 0.0
-        yield start, count, block
+def _load(block: np.ndarray, rows: np.ndarray, start: int) -> int:
+    """Copy ``rows[start:start + _BLOCK]`` into the top-left of ``block``, zero
+    the rows below them, and return how many rows were copied."""
+    count = min(_BLOCK, rows.shape[0] - start)
+    block[:count, :rows.shape[1]] = rows[start:start + count]
+    block[count:] = 0.0
+    return count
+
+
+def _worker_count() -> int:
+    """The CPUs this process may use over the threads one BLAS call takes,
+    so that workers and BLAS never oversubscribe them.  BLAS threads are the
+    first of ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is a
+    positive int; with neither, BLAS is taken to use every CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
+    return 1
+
+
+_WORKERS = _worker_count()
+# A call hands blocks to helpers only when it has this many: a helper's
+# first blocks cost the process its OpenBLAS buffer and malloc arena, about
+# 5 MiB at D=1536, which calls of a few blocks do not repay.  score_batch
+# works in chunks of this many blocks.
+_HANDOFF_BLOCKS = 8
+
+
+class _Helpers:
+    """Daemon threads that each run ``(job, done)`` pairs from ``jobs`` and
+    put to ``done`` after each job.  Started by the first call that needs
+    them and kept for the life of the process: a thread per call would cost
+    a fresh OpenBLAS buffer every time."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        """Forget every thread: a forked child has only the forking one."""
+        self.jobs, self.started, self.lock = queue.SimpleQueue(), 0, threading.Lock()
+
+    def submit(self, job, count: int, done: queue.SimpleQueue) -> None:
+        with self.lock:
+            for _ in range(self.started, count):
+                threading.Thread(target=self._serve, daemon=True).start()
+                self.started += 1
+        for _ in range(count):
+            self.jobs.put((job, done))
+
+    def _serve(self):
+        while True:
+            job, done = self.jobs.get()
+            try:
+                job()
+            finally:
+                done.put(None)
+                job = done = None  # keep no finished call's arrays alive
+
+
+_helpers = _Helpers()
+os.register_at_fork(after_in_child=_helpers.reset)
+
+
+def _for_blocks(rows: int, work, *widths: int, combine=None, handoff=True) -> None:
+    """Call ``work(start, *buffers)`` for every ``start`` in ``range(0, rows, _BLOCK)``.
+
+    The calling thread and up to ``_WORKERS - 1`` helpers take blocks in
+    turn from a shared counter, each with its own zeroed ``(_BLOCK, width)``
+    buffer per width, reused from block to block.  The calling thread works
+    alone on fewer than ``_HANDOFF_BLOCKS`` blocks, or without ``handoff``,
+    for blocks too cheap to repay a helper's wake-up and GIL hand-overs.
+    ``combine`` gets the blocks' results in block order, so a sum of them
+    keeps its bits.  When blocks raise, the lowest failing block's error is
+    raised, as in a serial loop.  Helpers run ``work`` and ``combine``:
+    neither may call a public function, which a tracer on the calling
+    thread may wrap.
+    """
+    blocks = -(-rows // _BLOCK)
+    lock = threading.Lock()
+    taken = combined = 0
+    results: dict = {}
+    errors: dict = {}
+
+    def add(k, result):
+        nonlocal combined
+        with lock:
+            results[k] = result
+            while combined in results:
+                combine(results.pop(combined))
+                combined += 1
+
+    def run():
+        nonlocal taken
+        buffers = spare.pop()
+        while True:
+            with lock:
+                if taken == blocks or errors:
+                    return
+                k = taken
+                taken += 1
+            try:
+                if combine is None:
+                    work(k * _BLOCK, *buffers)
+                else:  # no result is held while the next block runs
+                    add(k, work(k * _BLOCK, *buffers))
+            except BaseException as exc:  # raised again on the calling thread
+                with lock:
+                    errors[k] = exc
+                return
+
+    helpers = min(_WORKERS, blocks) - 1 if handoff and blocks >= _HANDOFF_BLOCKS else 0
+    # Made here, not by the helpers: a helper's own malloc arena keeps what it frees.
+    spare = [[np.zeros((_BLOCK, width)) for width in widths] for _ in range(helpers + 1)]
+    done = queue.SimpleQueue()
+    if helpers > 0:
+        _helpers.submit(run, helpers, done)
+    run()
+    for _ in range(helpers):
+        done.get()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _as_embedding_matrix(embeddings) -> np.ndarray:
@@ -177,7 +311,7 @@ def build_density_matrix(embeddings) -> DensityMatrix:
     phi = _pad_lanes(phi, 1)
     r = phi.T @ phi
     r /= n  # in place: R is the build's largest array
-    return DensityMatrix(r[:dim, :dim], n)
+    return DensityMatrix(r[:dim, :dim], n)  # its _padded buffer is r
 
 
 def sketch_density_matrix(embeddings: np.ndarray,
@@ -225,8 +359,12 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     width = -(-dim // _LANES) * _LANES
     omega = _pad_lanes(standard_normal(stream(seed, DOMAIN_NYSTROM), (dim, _RANK)), 0)
     y = np.zeros((width, _RANK))
-    for _, _, block in _row_blocks(embeddings, width):
-        y += block.T @ (block @ omega)
+
+    def sketch(start, block):
+        _load(block, embeddings, start)
+        return block.T @ (block @ omega)
+
+    _for_blocks(n, sketch, width, combine=lambda part: np.add(y, part, out=y))
     y /= n
     nu = np.sqrt(dim) * np.spacing(np.sqrt(np.max(np.einsum("ij,ij->j", y, y))))
     y += nu * omega
@@ -235,8 +373,12 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     except np.linalg.LinAlgError:
         return None, float("inf")
     factor = np.empty((width, _RANK))
-    for start, count, block in _row_blocks(y, _RANK):
+
+    def solve(start, block):
+        count = _load(block, y, start)
         factor[start:start + count] = (block @ inverse)[:count]
+
+    _for_blocks(width, solve, _RANK, handoff=False)  # GEMMs too small to repay a hand-off
     factor = factor[:dim]
     beta = float((1.0 - np.sum(factor * factor)) + dim * (nu + (_RANK + 1) * np.finfo(float).eps))
     if not beta >= (dim - _RANK) * nu:
@@ -260,7 +402,10 @@ def merge_density_matrices(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     # exactly symmetric sum.
     wa = a.sample_count / total
     wb = b.sample_count / total
-    return DensityMatrix(wa * a.matrix + wb * b.matrix, total)
+    # Summed over the padded buffers, whose pads stay zero, so the sum's
+    # padded buffer is the one copy of R it makes.
+    padded = wa * a._padded + wb * b._padded
+    return DensityMatrix(padded[:a.embed_dim, :a.embed_dim], total)
 
 
 def estimate_density(dm: DensityMatrix | DensityFactor, phi: np.ndarray) -> float:
@@ -296,8 +441,12 @@ def estimate_density_batch(dm: DensityMatrix | DensityFactor, phis) -> np.ndarra
         raise InvalidArgumentError(f"queries must have shape (m, {dm.embed_dim}), got {phis.shape}")
     factor = isinstance(dm, DensityFactor)
     out = np.empty(phis.shape[0])
-    for start, count, block in _row_blocks(phis, dm._padded.shape[0]):
+
+    def score(start, block):
+        count = _load(block, phis, start)
         product = block @ dm._padded
         out[start:start + count] = np.einsum(
             "ij,ij->i", product, product if factor else block)[:count]
+
+    _for_blocks(phis.shape[0], score, dm._padded.shape[0])
     return out

@@ -19,6 +19,7 @@ from . import metrics
 from .dataio import _feature_matrix, apply_standardizer, fit_standardizer
 from .density import (
     _BLOCK,
+    _HANDOFF_BLOCKS,
     FACTOR_BOUND,
     DensityFactor,
     DensityMatrix,
@@ -35,8 +36,9 @@ NORMAL = 0
 ANOMALY = 1
 _REFIT_VAL_FRAC = 0.3
 # score_batch embeds and scores this many rows at a time, so its memory
-# does not grow with the batch: 8 MiB of embeddings at D=1024.
-_CHUNK = 8 * _BLOCK
+# does not grow with the batch: 8 MiB of embeddings at D=1024.  A full
+# chunk is the smallest call that hands blocks to helper threads.
+_CHUNK = _HANDOFF_BLOCKS * _BLOCK
 
 
 @dataclass

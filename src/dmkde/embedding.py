@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import _feature_matrix
-from .density import _BLOCK, _pad_lanes, _row_blocks
+from .density import _BLOCK, _for_blocks, _load, _pad_lanes
 from .errors import DegenerateEmbeddingError, InvalidArgumentError
 from .rng import (
     DOMAIN_AFF_HOLDOUT,
@@ -138,19 +138,19 @@ def _check_inputs(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _phases(weights: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
-    """Yield ``(start, count, rows[start:start + count] @ W^T + b)``.
+def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarray,
+           offsets: np.ndarray) -> np.ndarray:
+    """``rows[start:start + _BLOCK] @ W^T + b``, one row per row of the block.
 
-    Every GEMM is ``(_BLOCK, d) @ (d, W)`` with W the embedding width padded
-    to whole lanes, by the block rule of :mod:`dmkde.density`.  Takes bare
-    arrays, as training moves ``offsets`` outside [0, 2*pi) mid-run.
+    ``block`` is a ``(_BLOCK, d)`` buffer of :func:`dmkde.density._for_blocks`
+    and ``weights_t`` is ``W^T`` padded to whole lanes, so every GEMM is
+    ``(_BLOCK, d) @ (d, W)`` by the block rule of :mod:`dmkde.density`.
+    Takes bare arrays, as training moves ``offsets`` outside [0, 2*pi) mid-run.
     """
-    dim = weights.shape[0]
-    weights_t = _pad_lanes(weights.T, 1)
-    for start, count, block in _row_blocks(rows, weights.shape[1]):
-        phase = (block @ weights_t)[:count, :dim]
-        phase += offsets
-        yield start, count, phase
+    count = _load(block, rows, start)
+    phase = (block @ weights_t)[:count, :offsets.shape[0]]
+    phase += offsets
+    return phase
 
 
 def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
@@ -158,11 +158,16 @@ def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.n
     x = _check_inputs(params, x)
     rows = np.atleast_2d(x)
     scale = np.sqrt(2.0 / params.embed_dim)
+    weights_t = _pad_lanes(params.weights.T, 1)
     out = np.empty((rows.shape[0], params.embed_dim))
-    for start, count, raw in _phases(params.weights, params.offsets, rows):
+
+    def embed_block(start, block):
+        raw = _phase(rows, start, block, weights_t, params.offsets)
         np.cos(raw, out=raw)
         raw *= scale
-        out[start:start + count] = _normalize_rows(raw) if normalize else raw
+        out[start:start + raw.shape[0]] = _normalize_rows(raw) if normalize else raw
+
+    _for_blocks(rows.shape[0], embed_block, params.input_dim)
     return out if x.ndim == 2 else out[0]
 
 
@@ -253,22 +258,26 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
     and ``grad_b = -(2/D) sum(G)``.  Trig work scales with the distinct
     rows, not with the pairs, and every temporary beyond the cosine table
     is a block of ``_BLOCK`` rows.  Both passes take their phases from
-    :func:`_phases`, so a row's sine and cosine come from one phase.
+    :func:`_phase`, so a row's sine and cosine come from one phase.
     """
     n_rows, n_pairs = pairs.rows.shape[0], pairs.left.shape[0]
-    embed_dim = weights.shape[0]
+    embed_dim, input_dim = weights.shape
     scale = 2.0 / embed_dim
+    weights_t = _pad_lanes(weights.T, 1)
 
     cos_table = np.empty((n_rows, embed_dim))
-    for start, count, phase in _phases(weights, offsets, pairs.rows):
-        np.cos(phase, out=cos_table[start:start + count])
 
-    # Gathers write into these buffers.  With mode="raise" np.take copies
-    # through a temporary; every index here is in range, so "clip" is safe.
-    buf_a = np.empty((_BLOCK, embed_dim))
-    buf_b = np.empty((_BLOCK, embed_dim))
+    def cos_block(start, block):
+        phase = _phase(pairs.rows, start, block, weights_t, offsets)
+        np.cos(phase, out=cos_table[start:start + phase.shape[0]])
+
+    _for_blocks(n_rows, cos_block, input_dim)
+
+    # Gathers write into the workers' buffers.  With mode="raise" np.take
+    # copies through a temporary; every index here is in range, so "clip" is safe.
     gram = np.empty(n_pairs)
-    for start in range(0, n_pairs, _BLOCK):
+
+    def gram_block(start, buf_a, buf_b):
         stop = min(start + _BLOCK, n_pairs)
         a = np.take(cos_table, pairs.left[start:stop], axis=0,
                     out=buf_a[:stop - start], mode="clip")
@@ -276,6 +285,12 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
                     out=buf_b[:stop - start], mode="clip")
         np.multiply(a, b, out=a)
         np.sum(a, axis=1, out=gram[start:stop])
+
+    # The Gram and gradient blocks are gathers and short numpy calls that hand
+    # the GIL back and forth.  With them handed off, wide_search's fit (ten
+    # epochs over 1,000 pairs) ran 19% slower on 2 vCPUs, so both loops stay
+    # on the calling thread.
+    _for_blocks(n_pairs, gram_block, embed_dim, embed_dim, handoff=False)
     gram *= scale
     resid = gram - pairs.targets
     loss = float(np.dot(resid, resid)) / n_pairs
@@ -286,8 +301,11 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
     r = (2.0 / n_pairs) * resid
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(offsets)
-    agg = buf_b  # free once the Gram values are in
-    for k, (start, count, g) in enumerate(_phases(weights, offsets, pairs.rows)):
+
+    def grad_block(start, block, agg, buf):
+        g = _phase(pairs.rows, start, block, weights_t, offsets)
+        count = g.shape[0]
+        k = start // _BLOCK
         agg[:count] = 0.0
         # This row block owns a contiguous run of the sorted ends; take it
         # 128 ends at a time and sum each owning row's segment.  np.add.reduce
@@ -295,7 +313,7 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
         # but runs several times faster along axis 0.
         for lo in range(pairs.block_ends[k], pairs.block_ends[k + 1], _BLOCK):
             hi = min(lo + _BLOCK, pairs.block_ends[k + 1])
-            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf_a[:hi - lo],
+            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf[:hi - lo],
                             mode="clip")
             terms *= r[pairs.pair[lo:hi], None]
             owners = pairs.owner[lo:hi]
@@ -304,8 +322,13 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
                 agg[owners[first] - start] += np.add.reduce(terms[first:end], axis=0)
         np.sin(g, out=g)
         g *= agg[:count]
-        grad_w += g.T @ pairs.rows[start:start + count]
-        grad_b += np.sum(g, axis=0)
+        return g.T @ pairs.rows[start:start + count], np.sum(g, axis=0)
+
+    def add(part):
+        np.add(grad_w, part[0], out=grad_w)
+        np.add(grad_b, part[1], out=grad_b)
+
+    _for_blocks(n_rows, grad_block, input_dim, embed_dim, embed_dim, combine=add, handoff=False)
     grad_w *= -scale
     grad_b *= -scale
     return loss, grad_w, grad_b

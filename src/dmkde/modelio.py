@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityFactor, DensityMatrix
+from .density import _LANES, DensityFactor, DensityMatrix
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
 from .errors import ParseError
@@ -52,8 +52,8 @@ def _decode(text: str | None, shape: tuple[int, ...] | None):
     if not isinstance(text, str):
         raise ParseError(f"array payload must be a base64 string, got {type(text).__name__}")
     try:
-        buf = base64.b64decode(text.encode("ascii"), validate=True)
-        arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
+        # A read-only view of the decoded bytes: no array is copied on load.
+        arr = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad array payload: {exc}") from exc
     if shape is None:
@@ -101,10 +101,16 @@ def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
     if form != "dense":
         raise ParseError(f"unknown density form {form!r}")
     values = _decode(text, (embed_dim * (embed_dim + 1) // 2,))
-    upper = _upper(embed_dim)
-    matrix = np.empty((embed_dim, embed_dim))
-    matrix[upper] = values
-    matrix.T[upper] = values
+    # Row by row (row i of the triangle is R[i, i:]), without a D x D mask,
+    # into a lane-padded buffer that DensityMatrix keeps as its own.
+    width = -(-embed_dim // _LANES) * _LANES
+    matrix = np.zeros((width, width))[:embed_dim, :embed_dim]
+    start = 0
+    for i in range(embed_dim):
+        row = values[start:start + embed_dim - i]
+        matrix[i, i:] = row
+        matrix[i:, i] = row
+        start += embed_dim - i
     return DensityMatrix(matrix, n)
 
 
@@ -181,4 +187,5 @@ def load_model(path) -> DetectorModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    del text  # the document holds every payload; the text would be a second copy
     return model_from_document(doc)

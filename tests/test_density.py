@@ -28,7 +28,6 @@ from dmkde.density import (
     DensityFactor,
     _nystrom,
     _pad_lanes,
-    _row_blocks,
     sketch_density_matrix,
 )
 from tests.conftest import random_unit_vectors
@@ -80,6 +79,37 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * dim * dim
+
+    def test_unaligned_build_holds_one_copy_of_r(self):
+        # At an unaligned D the lane-padded Phi^T Phi / n is R's one buffer.
+        dim, n = 1020, 300
+        phis = random_unit_vectors(np.random.default_rng(7), n, dim)
+        tracemalloc.start()
+        try:
+            dm = build_density_matrix(phis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * dim * dim
+        padded = _pad_lanes(phis, 1)
+        expected = padded.T @ padded
+        expected /= n
+        assert np.array_equal(dm.matrix, expected[:dim, :dim])
+        assert dm._padded.shape == expected.shape
+
+    def test_padded_buffer_adopted_only_with_zero_pad(self):
+        base = np.zeros((_LANES, 2 * _LANES))
+        base[:3, :5] = np.arange(15.0).reshape(3, 5)
+        view = base[:3, :5]
+        assert _pad_lanes(view, 0, 1) is not base  # not the padded shape
+        base = np.zeros((_LANES, _LANES))
+        base[:3, :5] = np.arange(15.0).reshape(3, 5)
+        view = base[:3, :5]
+        assert _pad_lanes(view, 0, 1) is base
+        base[6, 1] = 1.0
+        padded = _pad_lanes(view, 0, 1)
+        assert padded is not base and not padded[3:].any()
+        assert np.array_equal(padded[:3, :5], view)
 
     def test_mixed_dimensions(self):
         with pytest.raises(InvalidArgumentError):
@@ -257,7 +287,10 @@ class TestPaddedOnce:
         # Reference: the same scoring rule with R padded on the call.
         padded = _pad_lanes(np.ascontiguousarray(dm.matrix), 0, 1)
         expected = np.empty(len(queries))
-        for start, count, block in _row_blocks(queries, padded.shape[0]):
+        for start in range(0, len(queries), _BLOCK):
+            block = np.zeros((_BLOCK, padded.shape[0]))
+            count = min(_BLOCK, len(queries) - start)
+            block[:count, :dim] = queries[start:start + count]
             expected[start:start + count] = np.einsum("ij,ij->i", block @ padded, block)[:count]
         assert np.array_equal(estimate_density_batch(dm, queries), expected)
         assert dm._padded.shape == (padded.shape[0],) * 2

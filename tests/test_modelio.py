@@ -1,11 +1,14 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dmkde import FitConfig, ParseError, fit, load_model, predict, predict_batch, save_model
+from dmkde import (FitConfig, ParseError, build_density_matrix, fit, load_model, predict,
+                   predict_batch, sample_rff_params, save_model)
 from dmkde.density import DensityFactor
+from dmkde.detector import DetectorModel
 from dmkde.modelio import _encode, model_from_document, model_to_document
 from dmkde.rng import stream
 
@@ -95,6 +98,28 @@ class TestFormats:
         x = stream(7, 98).normal(size=(50, 3))
         assert all(np.array_equal(a, b) for a, b in zip(predict_batch(back, x),
                                                          predict_batch(model, x)))
+
+    @pytest.mark.parametrize("dim", [1020, 1024])
+    def test_dense_load_holds_no_extra_copy(self, tmp_path, dim):
+        # The parsed document's payload (2/3 of 8 D^2 as base64), the decoded
+        # triangle (1/2) and R (1) are the copies a load needs: 2.17 x 8 D^2.
+        # Load made 3.1 with the file text, a float copy of the triangle and
+        # a D x D mask besides, and one more copy of R at an unaligned D.
+        phis = stream(4, 99).normal(size=(300, dim))
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        dm = build_density_matrix(phis)
+        del phis
+        model = DetectorModel(sample_rff_params(8, dim, 1.0, 4), dm, 0.1, 0.05, False,
+                              None, None, None)
+        save_model(model, tmp_path / "model.json")
+        tracemalloc.start()
+        try:
+            back = load_model(tmp_path / "model.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * dim * dim
+        assert np.array_equal(back.dm.matrix, dm.matrix)
 
     def test_fallback_bound_round_trips_with_dense_form(self):
         # A narrow kernel gives R a rank near n = 200 > k: the sketch's
