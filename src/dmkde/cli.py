@@ -132,6 +132,8 @@ def _settings(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
     return values
 
 

@@ -37,9 +37,11 @@ _ENTRY_TOL = 1e-12
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
 # _LANES (_for_blocks, _load, _pad_lanes).  The block bounds scoring
 # temporaries to 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row
-# one.  As no row's bits depend on the others, blocks may run at once, in any
-# order, on the _WORKERS threads of _for_blocks; a sum over blocks is still
-# added in block order, so it keeps its bits at any worker count.
+# one.  As no row's bits depend on the others, the blocks of embed, score and
+# AFF's cosine table may run at once, in any order, on the _WORKERS threads
+# of _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient) and
+# loops too cheap to hand off run in block order on the calling thread, so
+# every result keeps its bits at any worker count.
 _BLOCK = 128
 _LANES = 8
 # The Nystrom factor's rank, a constant: a 96-square Cholesky factor and
@@ -222,37 +224,25 @@ _helpers = _Helpers()
 os.register_at_fork(after_in_child=_helpers.reset)
 
 
-def _for_blocks(rows: int, work, *widths: int, combine=None, handoff=True) -> None:
-    """Call ``work(start, *buffers)`` for every ``start`` in ``range(0, rows, _BLOCK)``.
+def _for_blocks(rows: int, work, width: int) -> None:
+    """Call ``work(start, block)`` for every ``start`` in ``range(0, rows, _BLOCK)``.
 
-    The calling thread and up to ``_WORKERS - 1`` helpers take blocks in
-    turn from a shared counter, each with its own zeroed ``(_BLOCK, width)``
-    buffer per width, reused from block to block.  The calling thread works
-    alone on fewer than ``_HANDOFF_BLOCKS`` blocks, or without ``handoff``,
-    for blocks too cheap to repay a helper's wake-up and GIL hand-overs.
-    ``combine`` gets the blocks' results in block order, so a sum of them
-    keeps its bits.  When blocks raise, the lowest failing block's error is
-    raised, as in a serial loop.  Helpers run ``work`` and ``combine``:
-    neither may call a public function, which a tracer on the calling
-    thread may wrap.
+    The blocks must be independent: the calling thread and up to
+    ``_WORKERS - 1`` helpers take them in turn from a shared counter, each
+    with its own zeroed ``(_BLOCK, width)`` buffer, reused from block to
+    block.  The calling thread works alone on fewer than ``_HANDOFF_BLOCKS``
+    blocks.  When blocks raise, the lowest failing block's error is raised,
+    as in a serial loop.  Helpers run ``work``, which may call no public
+    function: a tracer on the calling thread may wrap those.
     """
     blocks = -(-rows // _BLOCK)
     lock = threading.Lock()
-    taken = combined = 0
-    results: dict = {}
+    taken = 0
     errors: dict = {}
-
-    def add(k, result):
-        nonlocal combined
-        with lock:
-            results[k] = result
-            while combined in results:
-                combine(results.pop(combined))
-                combined += 1
 
     def run():
         nonlocal taken
-        buffers = spare.pop()
+        block = spare.pop()
         while True:
             with lock:
                 if taken == blocks or errors:
@@ -260,18 +250,15 @@ def _for_blocks(rows: int, work, *widths: int, combine=None, handoff=True) -> No
                 k = taken
                 taken += 1
             try:
-                if combine is None:
-                    work(k * _BLOCK, *buffers)
-                else:  # no result is held while the next block runs
-                    add(k, work(k * _BLOCK, *buffers))
+                work(k * _BLOCK, block)
             except BaseException as exc:  # raised again on the calling thread
                 with lock:
                     errors[k] = exc
                 return
 
-    helpers = min(_WORKERS, blocks) - 1 if handoff and blocks >= _HANDOFF_BLOCKS else 0
+    helpers = min(_WORKERS, blocks) - 1 if blocks >= _HANDOFF_BLOCKS else 0
     # Made here, not by the helpers: a helper's own malloc arena keeps what it frees.
-    spare = [[np.zeros((_BLOCK, width)) for width in widths] for _ in range(helpers + 1)]
+    spare = [np.zeros((_BLOCK, width)) for _ in range(helpers + 1)]
     done = queue.SimpleQueue()
     if helpers > 0:
         _helpers.submit(run, helpers, done)
@@ -359,12 +346,10 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     width = -(-dim // _LANES) * _LANES
     omega = _pad_lanes(standard_normal(stream(seed, DOMAIN_NYSTROM), (dim, _RANK)), 0)
     y = np.zeros((width, _RANK))
-
-    def sketch(start, block):
+    block = np.zeros((_BLOCK, width))
+    for start in range(0, n, _BLOCK):
         _load(block, embeddings, start)
-        return block.T @ (block @ omega)
-
-    _for_blocks(n, sketch, width, combine=lambda part: np.add(y, part, out=y))
+        y += block.T @ (block @ omega)
     y /= n
     nu = np.sqrt(dim) * np.spacing(np.sqrt(np.max(np.einsum("ij,ij->j", y, y))))
     y += nu * omega
@@ -373,12 +358,10 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     except np.linalg.LinAlgError:
         return None, float("inf")
     factor = np.empty((width, _RANK))
-
-    def solve(start, block):
+    block = np.zeros((_BLOCK, _RANK))
+    for start in range(0, width, _BLOCK):
         count = _load(block, y, start)
         factor[start:start + count] = (block @ inverse)[:count]
-
-    _for_blocks(width, solve, _RANK, handoff=False)  # GEMMs too small to repay a hand-off
     factor = factor[:dim]
     beta = float((1.0 - np.sum(factor * factor)) + dim * (nu + (_RANK + 1) * np.finfo(float).eps))
     if not beta >= (dim - _RANK) * nu:

@@ -95,6 +95,8 @@ class DetectorModel:
             raise InvalidArgumentError("embedding and density matrix dimensions differ")
         if self.sketch_bound is not None:
             self.sketch_bound = float(self.sketch_bound)
+            if not self.sketch_bound >= 0.0:  # NaN fails too
+                raise InvalidArgumentError(f"sketch_bound must be >= 0, got {self.sketch_bound}")
         if isinstance(self.dm, DensityFactor) and not (
                 self.sketch_bound is not None and self.sketch_bound <= FACTOR_BOUND):
             raise InvalidArgumentError(f"a factor is served only with a sketch_bound <= "

@@ -142,7 +142,7 @@ def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarra
            offsets: np.ndarray) -> np.ndarray:
     """``rows[start:start + _BLOCK] @ W^T + b``, one row per row of the block.
 
-    ``block`` is a ``(_BLOCK, d)`` buffer of :func:`dmkde.density._for_blocks`
+    ``block`` is a ``(_BLOCK, d)`` buffer for :func:`dmkde.density._load`
     and ``weights_t`` is ``W^T`` padded to whole lanes, so every GEMM is
     ``(_BLOCK, d) @ (d, W)`` by the block rule of :mod:`dmkde.density`.
     Takes bare arrays, as training moves ``offsets`` outside [0, 2*pi) mid-run.
@@ -273,11 +273,14 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
 
     _for_blocks(n_rows, cos_block, input_dim)
 
-    # Gathers write into the workers' buffers.  With mode="raise" np.take
-    # copies through a temporary; every index here is in range, so "clip" is safe.
+    # Gathers write into preallocated buffers.  With mode="raise" np.take
+    # copies through a temporary; every index here is in range, so "clip" is
+    # safe.  The Gram and gradient loops run in block order on the calling
+    # thread: their blocks are too cheap to repay a helper (wide_search's fit
+    # ran 19% slower handed off), and the gradient is a sum.
     gram = np.empty(n_pairs)
-
-    def gram_block(start, buf_a, buf_b):
+    buf_a, buf_b = np.empty((_BLOCK, embed_dim)), np.empty((_BLOCK, embed_dim))
+    for start in range(0, n_pairs, _BLOCK):
         stop = min(start + _BLOCK, n_pairs)
         a = np.take(cos_table, pairs.left[start:stop], axis=0,
                     out=buf_a[:stop - start], mode="clip")
@@ -285,12 +288,6 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
                     out=buf_b[:stop - start], mode="clip")
         np.multiply(a, b, out=a)
         np.sum(a, axis=1, out=gram[start:stop])
-
-    # The Gram and gradient blocks are gathers and short numpy calls that hand
-    # the GIL back and forth.  With them handed off, wide_search's fit (ten
-    # epochs over 1,000 pairs) ran 19% slower on 2 vCPUs, so both loops stay
-    # on the calling thread.
-    _for_blocks(n_pairs, gram_block, embed_dim, embed_dim, handoff=False)
     gram *= scale
     resid = gram - pairs.targets
     loss = float(np.dot(resid, resid)) / n_pairs
@@ -301,8 +298,11 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
     r = (2.0 / n_pairs) * resid
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(offsets)
+    block, agg = np.zeros((_BLOCK, input_dim)), np.empty((_BLOCK, embed_dim))
 
-    def grad_block(start, block, agg, buf):
+    # A function per block, so that its phase temporary is freed before the
+    # next block's is made.
+    def grad_block(start):
         g = _phase(pairs.rows, start, block, weights_t, offsets)
         count = g.shape[0]
         k = start // _BLOCK
@@ -313,7 +313,7 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
         # but runs several times faster along axis 0.
         for lo in range(pairs.block_ends[k], pairs.block_ends[k + 1], _BLOCK):
             hi = min(lo + _BLOCK, pairs.block_ends[k + 1])
-            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf[:hi - lo],
+            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf_a[:hi - lo],
                             mode="clip")
             terms *= r[pairs.pair[lo:hi], None]
             owners = pairs.owner[lo:hi]
@@ -322,13 +322,11 @@ def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
                 agg[owners[first] - start] += np.add.reduce(terms[first:end], axis=0)
         np.sin(g, out=g)
         g *= agg[:count]
-        return g.T @ pairs.rows[start:start + count], np.sum(g, axis=0)
+        np.add(grad_w, g.T @ pairs.rows[start:start + count], out=grad_w)
+        np.add(grad_b, np.sum(g, axis=0), out=grad_b)
 
-    def add(part):
-        np.add(grad_w, part[0], out=grad_w)
-        np.add(grad_b, part[1], out=grad_b)
-
-    _for_blocks(n_rows, grad_block, input_dim, embed_dim, embed_dim, combine=add, handoff=False)
+    for start in range(0, n_rows, _BLOCK):
+        grad_block(start)
     grad_w *= -scale
     grad_b *= -scale
     return loss, grad_w, grad_b

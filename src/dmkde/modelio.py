@@ -78,12 +78,8 @@ def _encode_density(dm: DensityMatrix | DensityFactor) -> tuple[str, str]:
     """``(form, payload)`` of a serving form."""
     if isinstance(dm, DensityFactor):
         return "factor", _encode(dm.factor)
-    return "dense", _encode(dm.matrix[_upper(dm.embed_dim)])
-
-
-def _upper(dim: int) -> np.ndarray:
-    """Mask of the upper triangle, diagonal included; it selects in row order."""
-    return ~np.tri(dim, dim, -1, dtype=bool)
+    # Row i of the triangle is R[i, i:], as _decode_density reads it.
+    return "dense", _encode(np.concatenate([dm.matrix[i, i:] for i in range(dm.embed_dim)]))
 
 
 def _decode_density(doc: dict, version: int, embed_dim: int, n: int):

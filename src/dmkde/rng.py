@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Stream domains. The values participate in the reproducibility contract
 # of serialized models: models built from a given seed must not change
 # when new domains are added later, so append only.
@@ -35,6 +37,8 @@ _TWO_PI = 2.0 * np.pi
 
 def stream(seed: int, domain: int) -> np.random.Generator:
     """Return the PCG64 generator for the (seed, domain) pair."""
+    if int(seed) < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain),))
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -1,12 +1,16 @@
 """The block map: row blocks run on several threads, bit for bit as one.
 
-Every loop over ``_BLOCK``-row blocks runs through ``density._for_blocks``
-on ``density._WORKERS`` threads.  Results must not depend on that count,
-errors must be the ones a serial loop raises, and the helper threads must
-neither multiply nor outlive a fork.
+Embedding, scoring and AFF's cosine table run their row blocks through
+``density._for_blocks`` on ``density._WORKERS`` threads; sums over blocks
+run in block order on the calling thread.  Results must not depend on the
+worker count, errors must be the ones a serial loop raises, helpers must
+call no public function, and the helper threads must neither multiply nor
+outlive a fork.
 """
 
 import contextlib
+import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -139,51 +143,87 @@ class TestBlockMap:
             _for_blocks(5 * _BLOCK, work, 8)
 
     @pytest.mark.parametrize("count", WORKER_COUNTS)
-    def test_combine_sees_block_order(self, count):
-        seen = []
-
-        def work(start, block):
-            time.sleep(0.002 * (5 - start // _BLOCK))  # later blocks finish first
-            return start
-
-        with workers(count):
-            _for_blocks(5 * _BLOCK - 3, work, 8, combine=seen.append)
-        assert seen == [k * _BLOCK for k in range(5)]
-
-    @pytest.mark.parametrize("count", WORKER_COUNTS)
     def test_each_worker_owns_zeroed_buffers(self, count):
         shapes = []
 
-        def work(start, narrow, wide):
-            assert not narrow.any() and not wide.any()
-            shapes.append((narrow.shape, wide.shape))
+        def work(start, block):
+            assert not block.any()
+            shapes.append(block.shape)
 
         with workers(count):
-            _for_blocks(4 * _BLOCK, work, 3, 17)
-        assert shapes == [((_BLOCK, 3), (_BLOCK, 17))] * 4
+            _for_blocks(4 * _BLOCK, work, 17)
+        assert shapes == [(_BLOCK, 17)] * 4
 
     def test_stress_more_workers_than_cpus(self):
-        """Every block runs exactly once and combines in order, with the
-        interpreter switching threads as often as it can."""
+        """Every block runs exactly once, with the interpreter switching
+        threads as often as it can."""
         blocks = 400
         runs = [0] * blocks
-        seen = []
 
         def work(start, block):
             runs[start // _BLOCK] += 1
-            return start // _BLOCK
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with workers(2 * (os.cpu_count() or 1) + 1):
                 started = time.monotonic()
-                _for_blocks(blocks * _BLOCK, work, 1, combine=seen.append)
+                _for_blocks(blocks * _BLOCK, work, 1)
         finally:
             sys.setswitchinterval(interval)
         assert time.monotonic() - started < 30
         assert runs == [1] * blocks
-        assert seen == list(range(blocks))
+
+
+class TestHelpersCallNoPublicFunction:
+    """``bench/tracer.py`` wraps public functions and keeps one span stack,
+    the calling thread's; a helper that called one would corrupt it."""
+
+    @pytest.fixture()
+    def off_thread(self, monkeypatch):
+        """``(public, blocks)``: the public functions called off the calling
+        thread, and how many blocks helpers loaded, with 2 workers taking
+        every call of two or more blocks."""
+        caller = threading.get_ident()
+        public, blocks = [], []
+
+        def watch(func, calls, name):
+            @functools.wraps(func)
+            def watched(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    calls.append(name)
+                return func(*args, **kwargs)
+            return watched
+
+        targets = [(getattr(dmkde, name), public, name) for name in dmkde.__all__
+                   if inspect.isfunction(getattr(dmkde, name))]
+        targets.append((density._load, blocks, "_load"))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "dmkde":
+                continue
+            for func, calls, name in targets:
+                if getattr(module, name, None) is func:
+                    monkeypatch.setattr(module, name, watch(func, calls, name))
+        monkeypatch.setattr(density, "_WORKERS", 2)
+        monkeypatch.setattr(density, "_HANDOFF_BLOCKS", 1)
+        return public, blocks
+
+    def test_fit_search_score_and_sketch(self, off_thread):
+        public, blocks = off_thread
+        rng = np.random.default_rng(5)
+        train, val = rng.normal(size=(300, 2)), rng.normal(size=(130, 2))
+        aff = AffConfig(num_pairs=300, epochs=2, learning_rate=0.1)
+        models = [dmkde.fit(train, val, 0.1, dmkde.FitConfig(None, 64, use_aff=use_aff,
+                                                             aff=aff, seed=3))[0]
+                  for use_aff in (False, True)]
+        labels = (np.arange(val.shape[0]) % 10 == 0).astype(np.int64)
+        dmkde.grid_search(train, val, labels, 0.1, [1.0, 2.0], [64], [False, True],
+                          aff=aff, seed=3)
+        for model in models:
+            score_batch(model, rng.normal(size=(3 * _BLOCK + 5, 2)))
+        sketch_density_matrix(random_unit_vectors(rng, 150, 256), 3)
+        assert blocks, "no helper ran a block"
+        assert public == []
 
 
 class TestWorkerRule:

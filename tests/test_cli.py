@@ -23,7 +23,9 @@ from dmkde.cli import (
     evaluate_model,
     main,
 )
+from dmkde.errors import InvalidArgumentError
 from dmkde.modelio import model_to_document
+from dmkde.rng import stream
 
 SPEC_DOC = {
     "name": "two_cluster",
@@ -316,6 +318,17 @@ class TestEval:
         assert main(["eval", str(dataset_path), "--model", str(bad),
                      "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("bound", ["-1.0", "-Infinity", "NaN"])
+    def test_impossible_sketch_bound_is_parse_error(self, tmp_path, dataset_path, fitted,
+                                                    bound):
+        text = fitted.read_text(encoding="utf-8")
+        bad = tmp_path / "bad_bound.json"
+        bad.write_text(text.replace('"sketch_bound": null', f'"sketch_bound": {bound}'),
+                       encoding="utf-8")
+        assert bad.read_text(encoding="utf-8") != text
+        assert main(["eval", str(dataset_path), "--model", str(bad),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
+
     def test_oracle_agreement_on_synthetic(self, tmp_path, dataset_path):
         model_path = tmp_path / "model_oracle.json"
         cfg = tmp_path / "oracle.cfg"
@@ -413,6 +426,30 @@ def test_success_writes_nothing_to_stderr(tmp_path, dataset_path, capsys):
                  ["benchmark", str(data_dir), "--out", str(tmp_path / "out"), "--config", cfg]):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().err == "", argv[0]
+
+
+class TestNegativeSeed:
+    def test_stream_names_the_seed(self):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            stream(-1, 0)
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "benchmark", "generate"])
+    def test_flag_is_config_error(self, tmp_path, dataset_path, spec_path, command, capsys):
+        argv = {
+            "fit": ["fit", str(dataset_path), "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", str(dataset_path), "--model", str(tmp_path / "m.json")],
+            "benchmark": ["benchmark", str(dataset_path.parent), "--out", str(tmp_path / "b")],
+            "generate": ["generate", str(spec_path), "--out", str(tmp_path / "d.csv")],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
+    def test_config_key_is_config_error(self, tmp_path, dataset_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("embed_dim = 64\nseed = -1\n", encoding="utf-8")
+        assert main(["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -175,6 +175,20 @@ class TestFormats:
             with pytest.raises(ParseError):
                 model_from_document(doc)
 
+    @pytest.mark.parametrize("factor,bound", [(True, -1.0), (True, -np.inf),
+                                              (False, -1.0), (False, -np.inf), (False, np.nan)])
+    def test_impossible_sketch_bound_rejected(self, factor, bound):
+        # Every bound a sketch returns is >= 0 or +inf.
+        doc = model_to_document(make_factor_model() if factor else make_model())
+        doc["sketch_bound"] = bound
+        with pytest.raises(ParseError, match="sketch_bound"):
+            model_from_document(doc)
+
+    def test_failed_sketch_bound_loads(self):
+        doc = model_to_document(make_model())
+        doc["sketch_bound"] = np.inf
+        assert model_from_document(json.loads(json.dumps(doc))).sketch_bound == np.inf
+
     def test_factor_payload_holds_d_by_k_values(self):
         doc = model_to_document(make_factor_model(embed_dim=512))
         assert doc["form"] == "factor"
