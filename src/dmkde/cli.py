@@ -138,11 +138,15 @@ def _settings(args) -> dict:
 
 
 def _aff_config(settings: dict) -> AffConfig:
-    return AffConfig(
-        num_pairs=settings["aff_num_pairs"],
-        epochs=settings["aff_epochs"],
-        learning_rate=settings["aff_learning_rate"],
-    )
+    try:
+        return AffConfig(
+            num_pairs=settings["aff_num_pairs"],
+            epochs=settings["aff_epochs"],
+            learning_rate=settings["aff_learning_rate"],
+        )
+    except InvalidArgumentError as exc:
+        # Each AffConfig message opens with the field's name, the key less "aff_".
+        raise ConfigError(f"aff_{exc}") from exc
 
 
 def _report(ds: LabeledDataset, split: SplitIndices, config: dict, model: DetectorModel,
@@ -323,6 +327,7 @@ def cmd_benchmark(args) -> int:
     for key in ("grid_sigma", "grid_embed_dim", "grid_use_aff"):
         if settings[key] is not None and not settings[key]:
             raise ConfigError(f"{key} must list at least one value")
+    _aff_config(settings)  # a bad aff_* value fails the command, not each dataset
     data_dir = Path(args.data)
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:

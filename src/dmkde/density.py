@@ -38,10 +38,10 @@ _ENTRY_TOL = 1e-12
 # _LANES (_for_blocks, _load, _pad_lanes).  The block bounds scoring
 # temporaries to 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row
 # one.  As no row's bits depend on the others, the blocks of embed, score and
-# AFF's cosine table may run at once, in any order, on the _WORKERS threads
-# of _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient) and
-# loops too cheap to hand off run in block order on the calling thread, so
-# every result keeps its bits at any worker count.
+# AFF's phases may run at once, in any order, on the _WORKERS threads of
+# _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient), AFF's
+# Gram tiles and loops too cheap to hand off run in block order on the
+# calling thread, so every result keeps its bits at any worker count.
 _BLOCK = 128
 _LANES = 8
 # The Nystrom factor's rank, a constant: a 96-square Cholesky factor and

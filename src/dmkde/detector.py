@@ -191,7 +191,7 @@ def fit(train: np.ndarray, val: np.ndarray, anomaly_rate: float,
     it to both sets; sample Fourier parameters from ``cfg.seed`` at
     ``cfg.sigma``, or when it is None at ``default_sigma_grid(train)[2]``,
     the median pairwise distance of the standardized train; refine them
-    adaptively, on pairs drawn from the same seed, when ``cfg.use_aff``
+    adaptively, on rows drawn from the same seed, when ``cfg.use_aff``
     (the model records whether that changed them); embed the training
     rows and serve their density matrix as its rank-k sketch when that
     is proven within ``FACTOR_BOUND`` (see ``sketch_density_matrix``),

@@ -9,13 +9,15 @@ normalizes ``z(x)`` to unit length.  :func:`embed` follows the
 package's one fixed-shape block rule, defined in :mod:`dmkde.density`
 (see ``_BLOCK`` there), so a row's embedding does not depend on its batch.
 
-:func:`train_aff` refines ``W`` and ``b`` by full-batch gradient descent
-on a pairwise kernel-matching loss, turning the random features into
-adaptive ones.
+:func:`train_aff` refines ``W`` and ``b`` with Adam on a kernel-matching
+loss over every pair of a seeded subset of the training rows, turning the
+random features into adaptive ones.  That loss is a Gram matrix of the
+subset's cosine features, so its work is GEMMs on padded row blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,8 +26,7 @@ from .dataio import _feature_matrix
 from .density import _BLOCK, _for_blocks, _load, _pad_lanes
 from .errors import DegenerateEmbeddingError, InvalidArgumentError
 from .rng import (
-    DOMAIN_AFF_HOLDOUT,
-    DOMAIN_AFF_PAIRS,
+    DOMAIN_AFF_ROWS,
     DOMAIN_RFF_OFFSETS,
     DOMAIN_RFF_WEIGHTS,
     DOMAIN_SIGMA_SUBSET,
@@ -37,6 +38,10 @@ _TWO_PI = 2.0 * np.pi
 _SIGMA_SUBSET = 1000
 _HOLDOUT_PAIRS = 1000
 _MAX_RETRIES = 3
+# Adam's decay rates and denominator guard (Kingma & Ba, ICLR 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 @dataclass
@@ -82,15 +87,17 @@ class EmbeddingParams:
 
 @dataclass
 class AffConfig:
-    """Gradient-descent settings for adaptive Fourier-feature training.
+    """Adam settings for adaptive Fourier-feature training.
 
-    ``num_pairs`` training pairs are sampled once (uniform indices,
-    distinct within a pair) and reused every epoch; ``_HOLDOUT_PAIRS``
-    (1000) further pairs from an independent stream guard against
-    regressions.  If training worsens the held-out kernel-matching MSE or
-    diverges, it restarts from the initial parameters with the learning
-    rate halved, up to ``_MAX_RETRIES`` (3) times, and falls back to the
-    initial parameters when every retry fails.
+    Training matches the kernel on every pair of ``m`` training rows, the
+    smallest ``m`` with ``m(m - 1)/2 >= num_pairs``, at most the row count:
+    1000 pairs take 46 rows (1035 pairs).  The same rule turns
+    ``_HOLDOUT_PAIRS`` (1000) into the held-out rows that guard against
+    regressions.  One seeded permutation draws both sets, disjoint where
+    there are rows enough.  If training worsens the held-out
+    kernel-matching MSE or diverges, it restarts from the initial
+    parameters with the learning rate halved, up to ``_MAX_RETRIES`` (3)
+    times, and falls back to the initial parameters when every retry fails.
     """
 
     num_pairs: int = 10_000
@@ -105,8 +112,8 @@ class AffConfig:
             raise InvalidArgumentError("num_pairs must be >= 1")
         if self.epochs < 0:
             raise InvalidArgumentError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be > 0")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise InvalidArgumentError("learning_rate must be a positive finite real")
 
 
 def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -> EmbeddingParams:
@@ -162,10 +169,11 @@ def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.n
     out = np.empty((rows.shape[0], params.embed_dim))
 
     def embed_block(start, block):
-        raw = _phase(rows, start, block, weights_t, params.offsets)
-        np.cos(raw, out=raw)
+        phase = _phase(rows, start, block, weights_t, params.offsets)
+        raw = np.cos(phase, out=out[start:start + phase.shape[0]])
         raw *= scale
-        out[start:start + raw.shape[0]] = _normalize_rows(raw) if normalize else raw
+        if normalize:
+            _normalize_rows(raw)
 
     _for_blocks(rows.shape[0], embed_block, params.input_dim)
     return out if x.ndim == 2 else out[0]
@@ -181,11 +189,12 @@ def embed_raw(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     return _embed_rows(params, x, normalize=False)
 
 
-def _normalize_rows(raw: np.ndarray) -> np.ndarray:
+def _normalize_rows(raw: np.ndarray) -> None:
+    """Divide each row of ``raw`` by its Euclidean norm, in place."""
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateEmbeddingError("raw embedding is the zero vector; cannot normalize")
-    return raw / norms
+    np.divide(raw, norms, out=raw)
 
 
 def embed(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
@@ -204,145 +213,98 @@ def gaussian_kernel(x, y, sigma: float):
     return np.exp(-sq / (2.0 * float(sigma) ** 2))
 
 
-@dataclass(frozen=True)
-class _PairSet:
-    """Sample pairs as indices into the distinct rows they touch.
+def _gram_kernel(weights, offsets, rows, targets, need_grad):
+    """Kernel-matching MSE (and gradient) over every pair ``i < j`` of ``rows``.
 
-    Pair ``p`` joins ``rows[left[p]]`` and ``rows[right[p]]`` and should
-    have kernel value ``targets[p]``.  Each pair has two ends; ``owner``
-    lists the row of every end in ascending order, ``partner`` the row at
-    the other end of the same pair and ``pair`` the pair itself.
-    ``block_ends[k]`` is the first end owned by a row at or after
-    ``k * _BLOCK``.
+    ``targets`` holds the pairs' kernel values in ``np.triu_indices`` order.
+    With ``C = cos(rows W^T + b)``, ``E = (2/D) C C^T - K`` with a zero
+    diagonal and ``P = m(m - 1)/2`` pairs of the ``m`` rows, the loss is
+    ``sum_{i<j} E_ij^2 / P``, ``dL/dC = (4/(PD)) E C``,
+    ``G = -sin(rows W^T + b) * dL/dC``, ``grad_w = G^T rows`` and
+    ``grad_b`` sums ``G`` over rows.  ``C`` and the sines are tables of the
+    rows zero-padded to whole blocks, with phases from :func:`_phase`, so
+    ``C C^T`` and ``E C`` are GEMMs of ``_BLOCK``-row blocks by the block
+    rule of :mod:`dmkde.density`.  Those products and the gradient's sum
+    over blocks run in block order on the calling thread.
     """
-
-    rows: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    targets: np.ndarray
-    owner: np.ndarray
-    partner: np.ndarray
-    pair: np.ndarray
-    block_ends: np.ndarray
-
-
-def _pair_set(features, i, j, targets) -> _PairSet:
-    """Pairs ``(features[i[p]], features[j[p]])`` over the distinct rows they
-    use, every pair end indexed by its row once for all later kernel calls."""
-    n_pairs = i.shape[0]
-    used, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
-    left, right = ends[:n_pairs], ends[n_pairs:]
-    order = np.argsort(ends, kind="stable")
-    owner = ends[order]
-    block_starts = np.arange(0, used.shape[0] + _BLOCK, _BLOCK)
-    return _PairSet(
-        rows=features[used],
-        left=left,
-        right=right,
-        targets=targets,
-        owner=owner,
-        partner=np.concatenate([right, left])[order],
-        pair=np.tile(np.arange(n_pairs), 2)[order],
-        block_ends=np.searchsorted(owner, block_starts),
-    )
-
-
-def _pair_kernel(weights, offsets, pairs: _PairSet, need_grad: bool):
-    """Kernel-matching MSE (and gradient) over a prepared pair set.
-
-    With ``C = cos(rows W^T + b)`` computed once per distinct row, pair p
-    has Gram value ``(2/D) C[left_p] . C[right_p]`` and residual ``e_p``
-    against its target.  The loss is ``mean(e^2)``.  Its gradient sums
-    ``r_p C[partner]`` with ``r_p = 2 e_p / P`` onto each owning row,
-    ``agg``; then ``G = sin(rows W^T + b) * agg``, ``grad_w = -(2/D) G^T rows``
-    and ``grad_b = -(2/D) sum(G)``.  Trig work scales with the distinct
-    rows, not with the pairs, and every temporary beyond the cosine table
-    is a block of ``_BLOCK`` rows.  Both passes take their phases from
-    :func:`_phase`, so a row's sine and cosine come from one phase.
-    """
-    n_rows, n_pairs = pairs.rows.shape[0], pairs.left.shape[0]
-    embed_dim, input_dim = weights.shape
-    scale = 2.0 / embed_dim
+    count, input_dim = rows.shape
+    embed_dim = weights.shape[0]
     weights_t = _pad_lanes(weights.T, 1)
+    padded = -(-count // _BLOCK) * _BLOCK
+    cos = np.zeros((padded, weights_t.shape[1]))
+    sin = np.zeros_like(cos) if need_grad else None
 
-    cos_table = np.empty((n_rows, embed_dim))
+    def trig_block(start, block):
+        phase = _phase(rows, start, block, weights_t, offsets)
+        live = slice(start, start + phase.shape[0])
+        np.cos(phase, out=cos[live, :embed_dim])
+        if need_grad:
+            np.sin(phase, out=sin[live, :embed_dim])
 
-    def cos_block(start, block):
-        phase = _phase(pairs.rows, start, block, weights_t, offsets)
-        np.cos(phase, out=cos_table[start:start + phase.shape[0]])
-
-    _for_blocks(n_rows, cos_block, input_dim)
-
-    # Gathers write into preallocated buffers.  With mode="raise" np.take
-    # copies through a temporary; every index here is in range, so "clip" is
-    # safe.  The Gram and gradient loops run in block order on the calling
-    # thread: their blocks are too cheap to repay a helper (wide_search's fit
-    # ran 19% slower handed off), and the gradient is a sum.
-    gram = np.empty(n_pairs)
-    buf_a, buf_b = np.empty((_BLOCK, embed_dim)), np.empty((_BLOCK, embed_dim))
-    for start in range(0, n_pairs, _BLOCK):
-        stop = min(start + _BLOCK, n_pairs)
-        a = np.take(cos_table, pairs.left[start:stop], axis=0,
-                    out=buf_a[:stop - start], mode="clip")
-        b = np.take(cos_table, pairs.right[start:stop], axis=0,
-                    out=buf_b[:stop - start], mode="clip")
-        np.multiply(a, b, out=a)
-        np.sum(a, axis=1, out=gram[start:stop])
-    gram *= scale
-    resid = gram - pairs.targets
-    loss = float(np.dot(resid, resid)) / n_pairs
+    _for_blocks(count, trig_block, input_dim)
+    tiles = [slice(start, start + _BLOCK) for start in range(0, padded, _BLOCK)]
+    gram = np.empty((padded, padded))
+    for tile in tiles:
+        np.matmul(cos[tile], cos.T, out=gram[tile])
+    upper = np.triu_indices(count, 1)
+    resid = (2.0 / embed_dim) * gram[upper] - targets
+    n_pairs = resid.shape[0]
+    # Not np.dot: OpenBLAS splits a long ddot over its threads.
+    loss = float(np.sum(resid * resid)) / n_pairs
     if not need_grad:
         return loss, None, None
 
-    # d(mean loss)/d gram_p = 2 * resid_p / n_pairs
-    r = (2.0 / n_pairs) * resid
-    grad_w = np.zeros_like(weights)
-    grad_b = np.zeros_like(offsets)
-    block, agg = np.zeros((_BLOCK, input_dim)), np.empty((_BLOCK, embed_dim))
-
-    # A function per block, so that its phase temporary is freed before the
-    # next block's is made.
-    def grad_block(start):
-        g = _phase(pairs.rows, start, block, weights_t, offsets)
-        count = g.shape[0]
-        k = start // _BLOCK
-        agg[:count] = 0.0
-        # This row block owns a contiguous run of the sorted ends; take it
-        # 128 ends at a time and sum each owning row's segment.  np.add.reduce
-        # per segment adds rows in the same order as np.add.reduceat(axis=0)
-        # but runs several times faster along axis 0.
-        for lo in range(pairs.block_ends[k], pairs.block_ends[k + 1], _BLOCK):
-            hi = min(lo + _BLOCK, pairs.block_ends[k + 1])
-            terms = np.take(cos_table, pairs.partner[lo:hi], axis=0, out=buf_a[:hi - lo],
-                            mode="clip")
-            terms *= r[pairs.pair[lo:hi], None]
-            owners = pairs.owner[lo:hi]
-            firsts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
-            for first, end in zip(firsts, firsts[1:] + [hi - lo]):
-                agg[owners[first] - start] += np.add.reduce(terms[first:end], axis=0)
-        np.sin(g, out=g)
-        g *= agg[:count]
-        np.add(grad_w, g.T @ pairs.rows[start:start + count], out=grad_w)
-        np.add(grad_b, np.sum(g, axis=0), out=grad_b)
-
-    for start in range(0, n_rows, _BLOCK):
-        grad_block(start)
-    grad_w *= -scale
-    grad_b *= -scale
-    return loss, grad_w, grad_b
+    err = np.zeros_like(gram)
+    err[upper] = resid
+    err += err.T
+    grad_w = np.zeros((cos.shape[1], input_dim))
+    grad_b = np.zeros(cos.shape[1])
+    block = np.zeros((_BLOCK, input_dim))
+    for tile in tiles:
+        g = err[tile] @ cos
+        g *= sin[tile]
+        _load(block, rows, tile.start)
+        grad_w += g.T @ block
+        grad_b += np.sum(g, axis=0)
+    scale = -4.0 / (n_pairs * embed_dim)
+    return loss, scale * grad_w[:embed_dim], scale * grad_b[:embed_dim]
 
 
 def _loss_and_grad(weights, offsets, lhs, rhs, targets, need_grad):
-    """Kernel-matching MSE (and gradient) at raw parameter arrays.
+    """Kernel-matching MSE (and gradient) over pairs ``(lhs[p], rhs[p])``.
 
-    Operating on bare arrays lets gradient descent move ``offsets``
-    outside [0, 2*pi) mid-run; callers wrap them before building an
-    :class:`EmbeddingParams`.  Pair p is ``(lhs[p], rhs[p])``.
+    Operating on bare arrays lets training move ``offsets`` outside
+    [0, 2*pi) mid-run; callers wrap them before building an
+    :class:`EmbeddingParams`.  Each block of ``_BLOCK`` pairs takes both
+    ends' phases from :func:`_phase` and is scored row by row, with no
+    gathers; the gradient sums over blocks in block order.
     """
-    n_pairs = lhs.shape[0]
-    pairs = _pair_set(np.concatenate([lhs, rhs]), np.arange(n_pairs),
-                      n_pairs + np.arange(n_pairs), targets)
-    return _pair_kernel(weights, offsets, pairs, need_grad)
+    n_pairs, input_dim = lhs.shape
+    scale = 2.0 / weights.shape[0]
+    weights_t = _pad_lanes(weights.T, 1)
+    blocks = np.zeros((2, _BLOCK, input_dim))
+    resid = np.empty(n_pairs)
+    grad_w, grad_b = np.zeros_like(weights), np.zeros_like(offsets)
+    for start in range(0, n_pairs, _BLOCK):
+        phases = [_phase(side, start, block, weights_t, offsets)
+                  for side, block in zip((lhs, rhs), blocks)]
+        cos = [np.cos(phase) for phase in phases]
+        live = slice(start, start + phases[0].shape[0])
+        np.sum(cos[0] * cos[1], axis=1, out=resid[live])
+        resid[live] *= scale
+        resid[live] -= targets[live]
+        if not need_grad:
+            continue
+        # d(mean loss)/d phase = (2 resid / P) * scale * -sin(phase) * partner's cosine
+        coef = (-2.0 * scale / n_pairs) * resid[live, None]
+        for phase, partner, side in zip(phases, cos[::-1], (lhs, rhs)):
+            g = np.sin(phase)
+            g *= partner
+            g *= coef
+            grad_w += g.T @ side[live]
+            grad_b += np.sum(g, axis=0)
+    loss = float(np.sum(resid * resid)) / n_pairs
+    return (loss, grad_w, grad_b) if need_grad else (loss, None, None)
 
 
 def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -360,83 +322,89 @@ def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> floa
     return loss
 
 
-def _sample_pair_indices(rng: np.random.Generator, n: int, count: int):
-    """Uniform pairs (i, j) with j != i, deterministic given the stream."""
-    i = rng.integers(0, n, size=count)
-    j = (i + 1 + rng.integers(0, n - 1, size=count)) % n
-    return i, j
-
-
 def _wrap_offsets(offsets: np.ndarray) -> np.ndarray:
     wrapped = np.mod(offsets, _TWO_PI)
     # np.mod can round up to the modulus itself for tiny negatives
     return np.where(wrapped >= _TWO_PI, 0.0, wrapped)
 
 
+def _rows_for(pairs: int, n: int) -> int:
+    """The smallest ``m`` with ``m(m - 1)/2 >= pairs``, at most ``n``."""
+    return min((math.isqrt(8 * pairs - 7) + 3) // 2, n)
+
+
+def _aff_rows(n: int, num_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of AFF's training and held-out rows among ``n``, drawn by one
+    permutation from ``seed``.  The held-out rows follow the training rows,
+    and overlap them only when ``n`` is too small for both."""
+    count, held = _rows_for(num_pairs, n), _rows_for(_HOLDOUT_PAIRS, n)
+    order = stream(seed, DOMAIN_AFF_ROWS).permutation(n)
+    first = min(count, n - held)
+    return order[:count], order[first:first + held]
+
+
 def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig,
               seed: int) -> EmbeddingParams:
-    """Refine Fourier parameters by gradient descent on kernel matching.
+    """Refine Fourier parameters with Adam on kernel matching.
 
-    Runs ``cfg.epochs`` full-batch gradient steps over ``cfg.num_pairs``
-    training pairs drawn from ``seed``; ``epochs == 0`` returns ``init``
-    unchanged.  A fit passes its own seed: the pair streams are apart
-    from the ones :func:`sample_rff_params` draws from.
-    The returned parameters never have a worse held-out kernel-matching
-    MSE than ``init`` (see :class:`AffConfig` for the retry rule).
+    Runs ``cfg.epochs`` full-batch Adam steps (decay rates ``_BETA1`` and
+    ``_BETA2``, guard ``_EPSILON``) on the kernel-matching MSE over every
+    pair of the training rows, which a permutation drawn from ``seed``
+    picks as :class:`AffConfig` describes.  ``epochs == 0`` returns
+    ``init`` itself.  A fit passes its own seed: the permutation's stream
+    is apart from the ones :func:`sample_rff_params` draws from.  The
+    returned parameters never have a worse held-out kernel-matching MSE
+    than ``init``, and are ``init`` itself when training fell back (see
+    :class:`AffConfig` for the retry rule).
     """
     features = _feature_matrix(features, init.input_dim, min_rows=2)
     if cfg.epochs == 0:
         return init
 
-    n = features.shape[0]
-    pi, pj = _sample_pair_indices(stream(seed, DOMAIN_AFF_PAIRS), n, cfg.num_pairs)
-    hi, hj = _sample_pair_indices(stream(seed, DOMAIN_AFF_HOLDOUT), n, _HOLDOUT_PAIRS)
-    # Keep the holdout sample disjoint from the training pairs where possible.
-    keep = ~np.isin(hi * n + hj, pi * n + pj)
-    if keep.any():
-        hi, hj = hi[keep], hj[keep]
-
-    train_pairs, hold_pairs = (
-        _pair_set(features, i, j, gaussian_kernel(features[i], features[j], init.sigma))
-        for i, j in ((pi, pj), (hi, hj)))
+    train_rows, hold_rows = (features[rows]
+                             for rows in _aff_rows(features.shape[0], cfg.num_pairs, seed))
+    train_k, hold_k = (np.exp(-_pairwise_sq(rows) / (2.0 * init.sigma ** 2))
+                       for rows in (train_rows, hold_rows))
 
     def holdout_mse(weights, offsets):
-        return _pair_kernel(weights, offsets, hold_pairs, False)[0]
+        return _gram_kernel(weights, offsets, hold_rows, hold_k, False)[0]
 
     baseline_mse = holdout_mse(init.weights, init.offsets)
     for attempt in range(_MAX_RETRIES + 1):
         lr = cfg.learning_rate / (2.0 ** attempt)
-        weights = init.weights.copy()
-        offsets = init.offsets.copy()
-        diverged = False
-        for _ in range(cfg.epochs):
-            _, grad_w, grad_b = _pair_kernel(weights, offsets, train_pairs, True)
-            weights -= lr * grad_w
-            offsets -= lr * grad_b
-            if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(offsets))):
-                diverged = True
+        params = [init.weights.copy(), init.offsets.copy()]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        for step in range(1, cfg.epochs + 1):
+            _, *grads = _gram_kernel(*params, train_rows, train_k, True)
+            for param, grad, (mean, square) in zip(params, grads, moments):
+                mean *= _BETA1
+                mean += (1.0 - _BETA1) * grad
+                square *= _BETA2
+                square += (1.0 - _BETA2) * grad * grad
+                param -= (lr / (1.0 - _BETA1 ** step)) * mean / (
+                    np.sqrt(square / (1.0 - _BETA2 ** step)) + _EPSILON)
+            if not all(np.all(np.isfinite(param)) for param in params):
                 break
-        if diverged:
-            continue
-        offsets = _wrap_offsets(offsets)
-        if holdout_mse(weights, offsets) <= baseline_mse:
-            return replace(init, weights=weights, offsets=offsets)
+        else:
+            weights, offsets = params[0], _wrap_offsets(params[1])
+            if holdout_mse(weights, offsets) <= baseline_mse:
+                return replace(init, weights=weights, offsets=offsets)
     return init
 
 
-def _pairwise_distances(features: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every pair ``i < j``, in ``pdist`` order.
+def _pairwise_sq(features: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every pair ``i < j``, in ``pdist`` order.
 
     Squared differences are summed one column at a time, in column order,
-    which reproduces ``scipy.spatial.distance.pdist`` bit for bit without
-    importing scipy.
+    so the square roots reproduce ``scipy.spatial.distance.pdist`` bit for
+    bit without importing scipy.
     """
     i, j = np.triu_indices(features.shape[0], k=1)
     total = np.zeros(i.shape[0])
     for column in features.T:
         diff = column[i] - column[j]
         total += diff * diff
-    return np.sqrt(total)
+    return total
 
 
 def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
@@ -450,7 +418,7 @@ def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
     if features.shape[0] > _SIGMA_SUBSET:
         idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(len(features), _SIGMA_SUBSET, replace=False)
         features = features[np.sort(idx)]
-    median = float(np.median(_pairwise_distances(features)))
+    median = float(np.median(np.sqrt(_pairwise_sq(features))))
     if median <= 0.0:
         median = 1.0
     return [median * 2.0 ** k for k in range(-2, 3)]

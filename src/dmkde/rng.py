@@ -24,8 +24,8 @@ from .errors import InvalidArgumentError
 # when new domains are added later, so append only.
 DOMAIN_RFF_WEIGHTS = 0
 DOMAIN_RFF_OFFSETS = 1
-DOMAIN_AFF_PAIRS = 2
-DOMAIN_AFF_HOLDOUT = 3
+DOMAIN_AFF_ROWS = 2
+DOMAIN_AFF_HOLDOUT = 3  # unused: AFF draws its held-out rows from DOMAIN_AFF_ROWS
 DOMAIN_SPLIT = 4
 DOMAIN_SYNTHETIC = 5
 DOMAIN_REFIT_SPLIT = 6

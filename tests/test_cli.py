@@ -452,6 +452,23 @@ class TestNegativeSeed:
         assert "seed" in capsys.readouterr().err
 
 
+class TestBadAffSetting:
+    @pytest.mark.parametrize("key,value", [
+        ("aff_learning_rate", "nan"), ("aff_learning_rate", "inf"), ("aff_learning_rate", "0"),
+        ("aff_num_pairs", "0"), ("aff_epochs", "-1"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_is_config_error(self, tmp_path, dataset_path, command, key, value, capsys):
+        cfg = small_config(tmp_path, f"use_aff = true\n{key} = {value}\n")
+        argv = {
+            "fit": ["fit", str(dataset_path), "--out", str(tmp_path / "m.json")],
+            "benchmark": ["benchmark", str(dataset_path.parent), "--out", str(tmp_path / "b")],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE

@@ -142,15 +142,15 @@ class TestBuild:
         # None of these widths is a multiple of 8; unpadded, each product
         # differs in its last bits between 1 and 2 OpenBLAS threads.  The
         # probe covers the users of the block rule: embed, build, score, the
-        # Nystrom factor of 90 rows (n < D) and its scores, and the AFF
-        # kernel's loss and gradients over pair sets whose last row block
-        # holds 1 and 2 rows.
+        # Nystrom factor of 90 rows (n < D) and its scores, and the AFF Gram
+        # kernel's loss and gradients over rows whose last block holds 1 and
+        # 2 rows.
         probe = (
             "import hashlib, numpy as np\n"
             "from dmkde import build_density_matrix, embed, estimate_density_batch\n"
             "from dmkde import gaussian_kernel, sample_rff_params\n"
             "from dmkde.density import DensityFactor, _nystrom\n"
-            "from dmkde.embedding import _pair_kernel, _pair_set\n"
+            "from dmkde.embedding import _gram_kernel\n"
             "rng = np.random.default_rng(5)\n"
             "for dim in (100, 127, 511, 700):\n"
             "    phi = rng.normal(size=(257, dim))\n"
@@ -164,24 +164,47 @@ class TestBuild:
             "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
             "    for n in (129, 130):\n"
             "        x = rng.normal(size=(n, 3))\n"
-            "        i = np.arange(n)\n"
-            "        j = (i + 1) % n\n"
-            "        pairs = _pair_set(x, i, j, gaussian_kernel(x[i], x[j], 1.0))\n"
-            "        loss, gw, gb = _pair_kernel(params.weights, params.offsets, pairs, True)\n"
+            "        i, j = np.triu_indices(n, 1)\n"
+            "        k = gaussian_kernel(x[i], x[j], 1.0)\n"
+            "        loss, gw, gb = _gram_kernel(params.weights, params.offsets, x, k, True)\n"
             "        out = np.concatenate([[loss], gw.ravel(), gb])\n"
             "        print(hashlib.sha256(out.tobytes()).hexdigest())\n"
         )
-        src = str(Path(dmkde.__file__).resolve().parent.parent)
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                 text=True, check=True, timeout=60)
-            outputs.append(out.stdout)
+        outputs = output_at_blas_threads(probe)
         assert len(outputs[0].split()) == 28
         assert outputs[0] == outputs[1]
+
+    def test_aff_loss_identical_across_blas_threads(self):
+        # 257 rows make 32,896 pairs, enough for OpenBLAS to split a ddot
+        # over its threads; the loss must not sum its squares with one.
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from dmkde import gaussian_kernel, sample_rff_params\n"
+            "from dmkde.embedding import _gram_kernel\n"
+            "x = np.random.default_rng(5).normal(size=(257, 2))\n"
+            "i, j = np.triu_indices(257, 1)\n"
+            "params = sample_rff_params(2, 100, 1.0, seed=3)\n"
+            "loss, gw, gb = _gram_kernel(params.weights, params.offsets, x,\n"
+            "                            gaussian_kernel(x[i], x[j], 1.0), True)\n"
+            "out = np.concatenate([[loss], gw.ravel(), gb])\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        outputs = output_at_blas_threads(probe)
+        assert outputs[0] == outputs[1]
+
+
+def output_at_blas_threads(probe: str) -> list[str]:
+    """Stdout of ``python -c probe`` at 1 and at 2 BLAS threads."""
+    src = str(Path(dmkde.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        outputs.append(out.stdout)
+    return outputs
 
 
 class TestMerge:

@@ -8,24 +8,30 @@ from dmkde import (
     DegenerateEmbeddingError,
     InsufficientDataError,
     InvalidArgumentError,
+    apply_standardizer,
     default_sigma_grid,
     embed,
     embed_raw,
+    fit_standardizer,
     gaussian_kernel,
+    generate_synthetic,
     pair_loss,
     sample_rff_params,
+    stratified_split,
     train_aff,
 )
 from dmkde.embedding import (
     _BLOCK,
     _HOLDOUT_PAIRS,
     EmbeddingParams,
+    _aff_rows,
+    _gram_kernel,
     _loss_and_grad,
     _normalize_rows,
-    _pair_kernel,
-    _pair_set,
-    _pairwise_distances,
+    _pairwise_sq,
+    _rows_for,
 )
+from tests.conftest import two_cluster_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -224,18 +230,58 @@ class TestTrainAff:
         init = sample_rff_params(2, 32, 1.0, seed=8)
         cfg = AffConfig(num_pairs=500, epochs=100, learning_rate=0.5)
         trained = train_aff(init, features, cfg, 2)
-        from dmkde.rng import DOMAIN_AFF_HOLDOUT, stream
-        from dmkde.embedding import _sample_pair_indices
-        hi, hj = _sample_pair_indices(stream(2, DOMAIN_AFF_HOLDOUT),
-                                      len(features), _HOLDOUT_PAIRS)
-        assert (pair_loss(trained, features[hi], features[hj])
-                <= pair_loss(init, features[hi], features[hj]) + 1e-12)
+        _, held = _aff_rows(len(features), cfg.num_pairs, 2)
+        i, j = np.triu_indices(len(held), 1)
+        lhs, rhs = features[held[i]], features[held[j]]
+        assert pair_loss(trained, lhs, rhs) <= pair_loss(init, lhs, rhs) + 1e-12
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 999, 1000, 1035, 1036, 10_000, 10**12])
+    def test_rows_are_the_fewest_that_give_the_pairs(self, pairs):
+        m = _rows_for(pairs, 10**9)
+        assert m * (m - 1) // 2 >= pairs > (m - 1) * (m - 2) // 2
+        assert _rows_for(pairs, 2) == 2
+
+    def test_row_counts(self):
+        assert _rows_for(1000, 300) == _rows_for(_HOLDOUT_PAIRS, 300) == 46
+        assert _rows_for(10_000, 300) == 142
+        assert _rows_for(10_000, 100) == 100
+
+    @pytest.mark.parametrize("n", [2, 45, 91, 92, 93, 300, 525])
+    def test_holdout_rows_disjoint_where_n_allows(self, n):
+        train, held = _aff_rows(n, 1000, 7)
+        assert len(train) == len(held) == min(n, 46)
+        assert len(set(train.tolist()) | set(held.tolist())) == min(n, 92)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_learns_at_wide_search_settings(self, seed):
+        # The benchmark's wide_search fit: two_cluster, standardized train
+        # rows, the median sigma, D = 1536, 1000 pairs, 10 epochs, lr 1e-3.
+        # Trained parameters read 0.27-0.47 of the baseline on seeds 1-10 and
+        # untrained ones 1.0, so the bound 0.6 tells the two apart.
+        ds = generate_synthetic(two_cluster_spec(), seed=seed)
+        train = ds.features[stratified_split(ds, seed=seed).train]
+        train = apply_standardizer(train, *fit_standardizer(train))
+        init = sample_rff_params(2, 1536, default_sigma_grid(train, seed)[2], seed)
+        trained = train_aff(init, train, AffConfig(num_pairs=1000, epochs=10), seed)
+        rng = np.random.default_rng(1000 + seed)  # apart from every dmkde stream
+        i = rng.integers(0, len(train), 2000)
+        j = (i + 1 + rng.integers(0, len(train) - 1, 2000)) % len(train)
+        lhs, rhs = train[i], train[j]
+        assert pair_loss(trained, lhs, rhs) <= 0.6 * pair_loss(init, lhs, rhs)
 
     def test_offsets_stay_in_range(self, features):
         init = sample_rff_params(2, 16, 1.0, seed=10)
         trained = train_aff(init, features,
                             AffConfig(num_pairs=300, epochs=200, learning_rate=0.1), 3)
         assert np.all(trained.offsets >= 0) and np.all(trained.offsets < TWO_PI)
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+        ("num_pairs", 0), ("epochs", -1),
+    ])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            AffConfig(**{field: value})
 
     def test_insufficient_data(self):
         init = sample_rff_params(2, 8, 1.0, seed=0)
@@ -305,22 +351,31 @@ class TestPairKernel:
         targets = gaussian_kernel(x, y, sigma)
         reference = per_pair_reference(w, b, x, y, targets)
 
-        distinct = _pair_kernel(w, b, _pair_set(features, i, j, targets), True)
         per_end = _loss_and_grad(w, b, x, y, targets, True)
-        for got in (distinct, per_end):
-            for value, (expected, scale) in zip(got, reference):
-                assert np.max(np.abs(value - expected)) <= 1e-12 * scale
+        for value, (expected, scale) in zip(per_end, reference):
+            assert np.max(np.abs(value - expected)) <= 1e-12 * scale
         assert _loss_and_grad(w, b, x, y, targets, False)[0] == per_end[0]
 
-    def test_pair_set_uses_distinct_rows(self):
-        i = np.array([3, 3, 7, 3])
-        j = np.array([7, 9, 3, 7])
-        features = np.arange(20.0)[:, None]
-        pairs = _pair_set(features, i, j, gaussian_kernel(features[i], features[j], 1.0))
-        assert np.array_equal(pairs.rows[:, 0], [3.0, 7.0, 9.0])
-        assert np.array_equal(pairs.rows[pairs.left, 0], i)
-        assert np.array_equal(pairs.rows[pairs.right, 0], j)
-        assert np.all(np.diff(pairs.owner) >= 0)
+    # The reference costs about 50 us a pair, and 300 rows have 44,850 pairs.
+    @settings(max_examples=6, deadline=None)
+    @given(m=st.integers(2, 300), embed_dim=st.integers(1, 64), input_dim=st.integers(1, 5),
+           sigma=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(m=2, embed_dim=1, input_dim=1, sigma=0.3, seed=0)
+    @example(m=_BLOCK + 1, embed_dim=9, input_dim=2, sigma=1.0, seed=1)
+    @example(m=2 * _BLOCK + 1, embed_dim=64, input_dim=5, sigma=2.0, seed=2)
+    def test_gram_matches_per_pair_reference(self, m, embed_dim, input_dim, sigma, seed):
+        # The Gram kernel scores every pair i < j of its m rows.
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(m, input_dim))
+        i, j = np.triu_indices(m, 1)
+        params = sample_rff_params(input_dim, embed_dim, sigma, seed=seed)
+        w, b = params.weights, params.offsets
+        targets = gaussian_kernel(rows[i], rows[j], sigma)
+        reference = per_pair_reference(w, b, rows[i], rows[j], targets)
+        gram = _gram_kernel(w, b, rows, targets, True)
+        for value, (expected, scale) in zip(gram, reference):
+            assert np.max(np.abs(value - expected)) <= 1e-12 * scale
+        assert _gram_kernel(w, b, rows, targets, False)[0] == gram[0]
 
 
 class TestPairLoss:
@@ -342,7 +397,7 @@ class TestSigmaGrid:
         from scipy.spatial.distance import pdist
 
         x = np.random.default_rng(n + d).normal(size=(n, d)) * 3.0 + 1.0
-        assert np.array_equal(_pairwise_distances(x), pdist(x))
+        assert np.array_equal(np.sqrt(_pairwise_sq(x)), pdist(x))
 
     def test_grid_is_powers_of_two_times_median(self):
         rng = np.random.default_rng(0)
