@@ -137,16 +137,25 @@ def _settings(args) -> dict:
     return values
 
 
-def _aff_config(settings: dict) -> AffConfig:
+def _fit_config(settings: dict, **grid) -> FitConfig:
+    """The FitConfig of ``settings``, AFF settings included, with each
+    ``grid`` value (from its ``grid_<field>`` list) in place of its field.
+    A bad value of a key a fit reads is a ConfigError that names the key."""
+    rate = settings["anomaly_rate"]
+    if rate is not None and not 0.0 <= rate <= 1.0:  # NaN fails too
+        raise ConfigError(f"anomaly_rate must lie in [0, 1], got {rate}")
+    fields = {key: settings[key]
+              for key in ("sigma", "embed_dim", "use_aff", "seed", "standardize")}
+    # Each AffConfig and FitConfig message opens with its field's name.
     try:
-        return AffConfig(
-            num_pairs=settings["aff_num_pairs"],
-            epochs=settings["aff_epochs"],
-            learning_rate=settings["aff_learning_rate"],
-        )
+        aff = AffConfig(num_pairs=settings["aff_num_pairs"], epochs=settings["aff_epochs"],
+                        learning_rate=settings["aff_learning_rate"])
     except InvalidArgumentError as exc:
-        # Each AffConfig message opens with the field's name, the key less "aff_".
         raise ConfigError(f"aff_{exc}") from exc
+    try:
+        return FitConfig(**(fields | grid), aff=aff)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"grid_{exc}" if str(exc).split()[0] in grid else str(exc)) from exc
 
 
 def _report(ds: LabeledDataset, split: SplitIndices, config: dict, model: DetectorModel,
@@ -191,6 +200,7 @@ def _write_predictions(path, indices, densities, labels, truths) -> None:
 
 def cmd_fit(args) -> int:
     settings = _settings(args)
+    cfg = _fit_config(settings)
     ds = load_csv(args.data, label_column=args.label_column)
     split = stratified_split(ds, seed=settings["seed"])
     train = ds.features[split.train]
@@ -198,9 +208,6 @@ def cmd_fit(args) -> int:
     rate = settings["anomaly_rate"]
     if rate is None:
         rate = ds.anomaly_rate
-    cfg = FitConfig(sigma=settings["sigma"], embed_dim=settings["embed_dim"],
-                    use_aff=settings["use_aff"], aff=_aff_config(settings),
-                    seed=settings["seed"], standardize=settings["standardize"])
     model, val_densities = fit(train, val, rate, cfg)
     cfg = replace(cfg, sigma=model.embedding.sigma)  # fit picks one when none is set
     val_pred = classify_batch(val_densities, model.theta)
@@ -276,8 +283,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, tuple]:
-    """Grid search on train/val, refit on train+val, evaluate on test.
+def benchmark_dataset(ds: LabeledDataset, settings: dict,
+                      aff: AffConfig) -> tuple[dict, dict, tuple]:
+    """Grid search on train/val, refit on train+val, evaluate on test, at
+    ``settings`` that ``cmd_benchmark`` has checked and their ``aff``.
 
     Returns the report, the summary-table row, and the per-sample
     prediction columns (test indices, densities, labels, truths).
@@ -289,17 +298,11 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
     rate = settings["anomaly_rate"]
     if rate is None:
         rate = ds.anomaly_rate
-
-    embed_dims = settings["grid_embed_dim"]
-    if embed_dims is None:
-        embed_dims = [settings["embed_dim"]]
-    use_aff_options = settings["grid_use_aff"]
-    if use_aff_options is None:
-        use_aff_options = [settings["use_aff"]]
-
     best_cfg, search_report = grid_search(
-        train, val, ds.labels[split.val], rate, settings["grid_sigma"], embed_dims,
-        use_aff_options, aff=_aff_config(settings), seed=seed, standardize=settings["standardize"],
+        train, val, ds.labels[split.val], rate, settings["grid_sigma"],
+        settings["grid_embed_dim"] or [settings["embed_dim"]],
+        settings["grid_use_aff"] or [settings["use_aff"]],
+        aff=aff, seed=seed, standardize=settings["standardize"],
     )
     combined = np.vstack([train, val])
     model = fit_with_internal_split(combined, rate, best_cfg)
@@ -325,9 +328,14 @@ def benchmark_dataset(ds: LabeledDataset, settings: dict) -> tuple[dict, dict, t
 def cmd_benchmark(args) -> int:
     settings = _settings(args)
     for key in ("grid_sigma", "grid_embed_dim", "grid_use_aff"):
-        if settings[key] is not None and not settings[key]:
+        if settings[key] == []:
             raise ConfigError(f"{key} must list at least one value")
-    _aff_config(settings)  # a bad aff_* value fails the command, not each dataset
+    # Each grid point's config, built before the dataset loop so that a bad
+    # value fails the command, not each dataset.  benchmark reads no sigma.
+    dims = [{"embed_dim": dim} for dim in settings["grid_embed_dim"] or []] or [{}]
+    uses = [{"use_aff": use} for use in settings["grid_use_aff"] or []] or [{}]
+    grid = [_fit_config(settings, sigma=sigma, **dim, **use)
+            for sigma in settings["grid_sigma"] or [None] for dim in dims for use in uses]
     data_dir = Path(args.data)
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
@@ -339,7 +347,7 @@ def cmd_benchmark(args) -> int:
     for path in paths:
         try:
             ds = load_csv(path, label_column=args.label_column)
-            report, row, predictions = benchmark_dataset(ds, settings)
+            report, row, predictions = benchmark_dataset(ds, settings, grid[0].aff)
             report_path = out_dir / f"{ds.name}.report.json"
             report_path.write_text(canonical_json(report), encoding="utf-8")
             _write_predictions(out_dir / f"{ds.name}.predictions.csv", *predictions)

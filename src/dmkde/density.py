@@ -35,7 +35,7 @@ _ENTRY_TOL = 1e-12
 # position and thread count, so an unpadded row can change in its last bit
 # with its batch or the thread count.  Every GEMM of embed, AFF, build and
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
-# _LANES (_for_blocks, _load, _pad_lanes).  The block bounds scoring
+# _LANES (_for_blocks, _load, _whole_lanes, _pad_lanes).  The block bounds scoring
 # temporaries to 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row
 # one.  As no row's bits depend on the others, the blocks of embed, score and
 # AFF's phases may run at once, in any order, on the _WORKERS threads of
@@ -132,13 +132,18 @@ def _max_asymmetry(matrix: np.ndarray) -> float:
     return worst
 
 
+def _whole_lanes(size: int) -> int:
+    """``size`` rounded up to a multiple of ``_LANES``."""
+    return -(-size // _LANES) * _LANES
+
+
 def _pad_lanes(a: np.ndarray, *axes: int) -> np.ndarray:
     """``a`` zero-padded along ``axes`` to whole lanes: ``a`` itself if
     aligned, the array ``a`` is the top-left view of if that is ``a`` padded
     with zeros already (as ``build_density_matrix`` leaves R), else a copy."""
     shape = list(a.shape)
     for axis in axes:
-        shape[axis] = -(-shape[axis] // _LANES) * _LANES
+        shape[axis] = _whole_lanes(shape[axis])
     if tuple(shape) == a.shape:
         return a
     base = a.base
@@ -185,8 +190,10 @@ _WORKERS = _worker_count()
 # A call hands blocks to helpers only when it has this many: a helper's
 # first blocks cost the process its OpenBLAS buffer and malloc arena, about
 # 5 MiB at D=1536, which calls of a few blocks do not repay.  score_batch
-# works in chunks of this many blocks.
+# and pair_loss embed a chunk of this many blocks at a time, so their memory
+# does not grow with the batch: 8 MiB of embeddings at D=1024.
 _HANDOFF_BLOCKS = 8
+_CHUNK = _HANDOFF_BLOCKS * _BLOCK
 
 
 class _Helpers:
@@ -343,7 +350,7 @@ def _nystrom(embeddings: np.ndarray, seed: int) -> tuple[np.ndarray | None, floa
     error in the computed ``F`` itself: the sketch fails.
     """
     n, dim = embeddings.shape
-    width = -(-dim // _LANES) * _LANES
+    width = _whole_lanes(dim)
     omega = _pad_lanes(standard_normal(stream(seed, DOMAIN_NYSTROM), (dim, _RANK)), 0)
     y = np.zeros((width, _RANK))
     block = np.zeros((_BLOCK, width))

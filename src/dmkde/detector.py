@@ -16,10 +16,9 @@ from itertools import product
 import numpy as np
 
 from . import metrics
-from .dataio import _feature_matrix, apply_standardizer, fit_standardizer
+from .dataio import _feature_matrix, _round_half_up, apply_standardizer, fit_standardizer
 from .density import (
-    _BLOCK,
-    _HANDOFF_BLOCKS,
+    _CHUNK,
     FACTOR_BOUND,
     DensityFactor,
     DensityMatrix,
@@ -35,10 +34,6 @@ from .rng import DOMAIN_REFIT_SPLIT, stream
 NORMAL = 0
 ANOMALY = 1
 _REFIT_VAL_FRAC = 0.3
-# score_batch embeds and scores this many rows at a time, so its memory
-# does not grow with the batch: 8 MiB of embeddings at D=1024.  A full
-# chunk is the smallest call that hands blocks to helper threads.
-_CHUNK = _HANDOFF_BLOCKS * _BLOCK
 
 
 @dataclass
@@ -330,7 +325,7 @@ def fit_with_internal_split(features: np.ndarray, anomaly_rate: float,
     features = _feature_matrix(features, min_rows=2)
     m = features.shape[0]
     perm = stream(cfg.seed, DOMAIN_REFIT_SPLIT).permutation(m)
-    n_val = min(max(1, int(math.floor(_REFIT_VAL_FRAC * m + 0.5))), m - 1)
+    n_val = min(max(1, _round_half_up(_REFIT_VAL_FRAC * m)), m - 1)
     val = features[perm[:n_val]]
     train = features[perm[n_val:]]
     model, _ = fit(train, val, anomaly_rate, cfg)

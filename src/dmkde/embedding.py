@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import _feature_matrix
-from .density import _BLOCK, _for_blocks, _load, _pad_lanes
+from .density import _BLOCK, _CHUNK, _for_blocks, _load, _pad_lanes
 from .errors import DegenerateEmbeddingError, InvalidArgumentError
 from .rng import (
+    _TWO_PI,
     DOMAIN_AFF_ROWS,
     DOMAIN_RFF_OFFSETS,
     DOMAIN_RFF_WEIGHTS,
@@ -34,7 +35,6 @@ from .rng import (
     stream,
 )
 
-_TWO_PI = 2.0 * np.pi
 _SIGMA_SUBSET = 1000
 _HOLDOUT_PAIRS = 1000
 _MAX_RETRIES = 3
@@ -134,17 +134,6 @@ def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -
     return EmbeddingParams(weights, offsets, float(sigma), int(input_dim), int(embed_dim))
 
 
-def _check_inputs(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
-        raise InvalidArgumentError(
-            f"expected vectors of length {params.input_dim}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("input contains non-finite values")
-    return x
-
-
 def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarray,
            offsets: np.ndarray) -> np.ndarray:
     """``rows[start:start + _BLOCK] @ W^T + b``, one row per row of the block.
@@ -152,7 +141,8 @@ def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarra
     ``block`` is a ``(_BLOCK, d)`` buffer for :func:`dmkde.density._load`
     and ``weights_t`` is ``W^T`` padded to whole lanes, so every GEMM is
     ``(_BLOCK, d) @ (d, W)`` by the block rule of :mod:`dmkde.density`.
-    Takes bare arrays, as training moves ``offsets`` outside [0, 2*pi) mid-run.
+    Shared by :func:`embed` and :func:`_gram_kernel`, so it takes bare arrays:
+    training moves ``offsets`` outside [0, 2*pi) mid-run.
     """
     count = _load(block, rows, start)
     phase = (block @ weights_t)[:count, :offsets.shape[0]]
@@ -161,9 +151,10 @@ def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarra
 
 
 def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
-    """Cosine features of ``x``, one zero-padded block of rows at a time."""
-    x = _check_inputs(params, x)
-    rows = np.atleast_2d(x)
+    """Cosine features of ``x``, one vector or rows, one zero-padded block of
+    rows at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = _feature_matrix(x[np.newaxis] if x.ndim == 1 else x, params.input_dim)
     scale = np.sqrt(2.0 / params.embed_dim)
     weights_t = _pad_lanes(params.weights.T, 1)
     out = np.empty((rows.shape[0], params.embed_dim))
@@ -270,56 +261,25 @@ def _gram_kernel(weights, offsets, rows, targets, need_grad):
     return loss, scale * grad_w[:embed_dim], scale * grad_b[:embed_dim]
 
 
-def _loss_and_grad(weights, offsets, lhs, rhs, targets, need_grad):
-    """Kernel-matching MSE (and gradient) over pairs ``(lhs[p], rhs[p])``.
-
-    Operating on bare arrays lets training move ``offsets`` outside
-    [0, 2*pi) mid-run; callers wrap them before building an
-    :class:`EmbeddingParams`.  Each block of ``_BLOCK`` pairs takes both
-    ends' phases from :func:`_phase` and is scored row by row, with no
-    gathers; the gradient sums over blocks in block order.
-    """
-    n_pairs, input_dim = lhs.shape
-    scale = 2.0 / weights.shape[0]
-    weights_t = _pad_lanes(weights.T, 1)
-    blocks = np.zeros((2, _BLOCK, input_dim))
-    resid = np.empty(n_pairs)
-    grad_w, grad_b = np.zeros_like(weights), np.zeros_like(offsets)
-    for start in range(0, n_pairs, _BLOCK):
-        phases = [_phase(side, start, block, weights_t, offsets)
-                  for side, block in zip((lhs, rhs), blocks)]
-        cos = [np.cos(phase) for phase in phases]
-        live = slice(start, start + phases[0].shape[0])
-        np.sum(cos[0] * cos[1], axis=1, out=resid[live])
-        resid[live] *= scale
-        resid[live] -= targets[live]
-        if not need_grad:
-            continue
-        # d(mean loss)/d phase = (2 resid / P) * scale * -sin(phase) * partner's cosine
-        coef = (-2.0 * scale / n_pairs) * resid[live, None]
-        for phase, partner, side in zip(phases, cos[::-1], (lhs, rhs)):
-            g = np.sin(phase)
-            g *= partner
-            g *= coef
-            grad_w += g.T @ side[live]
-            grad_b += np.sum(g, axis=0)
-    loss = float(np.sum(resid * resid)) / n_pairs
-    return (loss, grad_w, grad_b) if need_grad else (loss, None, None)
-
-
 def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Mean squared kernel-matching error over the given sample pairs.
+    """Mean squared kernel-matching error over the sample pairs ``(lhs[p], rhs[p])``.
 
-    The residual per pair is the raw-embedding inner product minus the
-    exact Gaussian kernel value at ``params.sigma``, for pairs ``(lhs[p], rhs[p])``.
+    A pair's residual is the inner product of its ends' :func:`embed_raw`
+    rows, the random-feature estimate of the kernel, minus the exact
+    Gaussian kernel at ``params.sigma``.  Pairs are embedded ``_CHUNK`` at
+    a time, so memory does not grow with the pair count times ``D``.
     """
     lhs = _feature_matrix(lhs, params.input_dim, min_rows=1)
     rhs = _feature_matrix(rhs, params.input_dim, min_rows=1)
     if lhs.shape != rhs.shape:
         raise InvalidArgumentError(f"lhs and rhs differ in shape: {lhs.shape}, {rhs.shape}")
-    targets = gaussian_kernel(lhs, rhs, params.sigma)
-    loss, _, _ = _loss_and_grad(params.weights, params.offsets, lhs, rhs, targets, False)
-    return loss
+    resid = np.empty(lhs.shape[0])
+    for start in range(0, lhs.shape[0], _CHUNK):
+        x, y = lhs[start:start + _CHUNK], rhs[start:start + _CHUNK]
+        resid[start:start + _CHUNK] = (np.sum(embed_raw(params, x) * embed_raw(params, y), axis=1)
+                                       - gaussian_kernel(x, y, params.sigma))
+    # Not np.dot: OpenBLAS splits a long ddot over its threads.
+    return float(np.sum(resid * resid)) / resid.shape[0]
 
 
 def _wrap_offsets(offsets: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import _LANES, DensityFactor, DensityMatrix
+from .density import DensityFactor, DensityMatrix, _whole_lanes
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
 from .errors import ParseError
@@ -99,7 +99,7 @@ def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
     values = _decode(text, (embed_dim * (embed_dim + 1) // 2,))
     # Row by row (row i of the triangle is R[i, i:]), without a D x D mask,
     # into a lane-padded buffer that DensityMatrix keeps as its own.
-    width = -(-embed_dim // _LANES) * _LANES
+    width = _whole_lanes(embed_dim)
     matrix = np.zeros((width, width))[:embed_dim, :embed_dim]
     start = 0
     for i in range(embed_dim):

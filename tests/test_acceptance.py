@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 import dmkde
 from dmkde.cli import canonical_json, evaluate_model, main
-from dmkde.embedding import _loss_and_grad
+from dmkde.embedding import _gram_kernel, _pairwise_sq
 from tests.conftest import ODDS_DIR, random_unit_vectors, two_cluster_spec
 
 
@@ -94,15 +94,16 @@ def test_criterion_3_kernel_approximation(capsys):
 
 
 def test_criterion_4_aff_correctness(capsys):
-    # analytic vs central finite differences on a d=2, D=8, 10-pair instance
+    # analytic vs central finite differences of the training kernel on a
+    # d=2, D=8 instance: every pair of 10 rows (45 pairs), train_aff's targets
     rng = np.random.default_rng(7)
     params = dmkde.sample_rff_params(2, 8, 1.0, seed=3)
-    lhs, rhs = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
-    targets = dmkde.gaussian_kernel(lhs, rhs, params.sigma)
-    _, grad_w, grad_b = _loss_and_grad(params.weights, params.offsets, lhs, rhs, targets, True)
+    rows = rng.normal(size=(10, 2))
+    targets = np.exp(-_pairwise_sq(rows) / (2.0 * params.sigma ** 2))
+    _, grad_w, grad_b = _gram_kernel(params.weights, params.offsets, rows, targets, True)
 
     def loss_at(w, b):
-        return _loss_and_grad(w, b, lhs, rhs, targets, False)[0]
+        return _gram_kernel(w, b, rows, targets, False)[0]
 
     step = 1e-5
     max_rel = 0.0

@@ -392,6 +392,15 @@ class TestBenchmark:
         assert by_name["broken"]["status"] == "failed"
         assert by_name["two_cluster"]["status"] == "ok"
 
+    def test_reads_no_sigma(self, tmp_path, dataset_path):
+        # Its bandwidths come from grid_sigma, or else from the data.
+        data_dir = tmp_path / "bench_data"
+        data_dir.mkdir()
+        (data_dir / "two_cluster.csv").write_bytes(dataset_path.read_bytes())
+        cfg = small_config(tmp_path, "sigma = -1\ngrid_embed_dim = 32\n")
+        assert main(["benchmark", str(data_dir), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == EXIT_OK
+
     def test_empty_dir_is_config_error(self, tmp_path):
         data_dir = tmp_path / "empty"
         data_dir.mkdir()
@@ -452,12 +461,23 @@ class TestNegativeSeed:
         assert "seed" in capsys.readouterr().err
 
 
+_BOTH_COMMANDS = [
+    ("aff_learning_rate", "nan"), ("aff_learning_rate", "inf"), ("aff_learning_rate", "0"),
+    ("aff_num_pairs", "0"), ("aff_epochs", "-1"), ("embed_dim", "0"),
+    ("anomaly_rate", "2"), ("anomaly_rate", "nan"),
+]
+
+
 class TestBadAffSetting:
-    @pytest.mark.parametrize("key,value", [
-        ("aff_learning_rate", "nan"), ("aff_learning_rate", "inf"), ("aff_learning_rate", "0"),
-        ("aff_num_pairs", "0"), ("aff_epochs", "-1"),
+    """A bad value of any setting a command reads, aff_* or not, exits 4
+    and names its key."""
+
+    # benchmark reads no sigma, and fit no grid_* key.
+    @pytest.mark.parametrize("command,key,value", [
+        *((command, *row) for row in _BOTH_COMMANDS for command in ("fit", "benchmark")),
+        ("benchmark", "grid_sigma", "-1"), ("benchmark", "grid_embed_dim", "0"),
+        ("fit", "sigma", "-1"),
     ])
-    @pytest.mark.parametrize("command", ["fit", "benchmark"])
     def test_is_config_error(self, tmp_path, dataset_path, command, key, value, capsys):
         cfg = small_config(tmp_path, f"use_aff = true\n{key} = {value}\n")
         argv = {

@@ -26,7 +26,6 @@ from dmkde.embedding import (
     EmbeddingParams,
     _aff_rows,
     _gram_kernel,
-    _loss_and_grad,
     _normalize_rows,
     _pairwise_sq,
     _rows_for,
@@ -181,17 +180,18 @@ class TestTrainAff:
         out = train_aff(init, features, AffConfig(num_pairs=10, epochs=0), 0)
         assert out is init
 
-    def test_gradient_matches_finite_differences(self):
+    # At _BLOCK + 1 rows the Gram and gradient tiles cross a block boundary.
+    @pytest.mark.parametrize("m", [10, _BLOCK + 1])
+    def test_gradient_matches_finite_differences(self, m):
+        # The gradient training runs: every pair of m rows, with train_aff's targets.
         rng = np.random.default_rng(7)
         params = sample_rff_params(2, 8, 1.0, seed=3)
-        lhs = rng.normal(size=(10, 2))
-        rhs = rng.normal(size=(10, 2))
-        targets = gaussian_kernel(lhs, rhs, params.sigma)
-        _, grad_w, grad_b = _loss_and_grad(
-            params.weights, params.offsets, lhs, rhs, targets, True)
+        rows = rng.normal(size=(m, 2))
+        targets = np.exp(-_pairwise_sq(rows) / (2.0 * params.sigma ** 2))
+        _, grad_w, grad_b = _gram_kernel(params.weights, params.offsets, rows, targets, True)
 
         def loss_at(w, b):
-            return _loss_and_grad(w, b, lhs, rhs, targets, False)[0]
+            return _gram_kernel(w, b, rows, targets, False)[0]
 
         step = 1e-5
         max_rel = 0.0
@@ -339,22 +339,18 @@ class TestPairKernel:
     @example(n=40, n_pairs=1, embed_dim=1, input_dim=1, sigma=0.3, seed=1)
     def test_distinct_rows_match_per_pair_reference(self, n, n_pairs, embed_dim, input_dim,
                                                     sigma, seed):
-        # Pairs are drawn with replacement, so P > n repeats pairs, and
-        # self-pairs (i == j) occur too.
+        # pair_loss scores explicit pairs through embed_raw.  Pairs are drawn
+        # with replacement, so P > n repeats pairs, and self-pairs (i == j)
+        # occur too.
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(n, input_dim))
         i = rng.integers(0, n, n_pairs)
         j = rng.integers(0, n, n_pairs)
         params = sample_rff_params(input_dim, embed_dim, sigma, seed=seed)
-        w, b = params.weights, params.offsets
         x, y = features[i], features[j]
         targets = gaussian_kernel(x, y, sigma)
-        reference = per_pair_reference(w, b, x, y, targets)
-
-        per_end = _loss_and_grad(w, b, x, y, targets, True)
-        for value, (expected, scale) in zip(per_end, reference):
-            assert np.max(np.abs(value - expected)) <= 1e-12 * scale
-        assert _loss_and_grad(w, b, x, y, targets, False)[0] == per_end[0]
+        (expected, scale), _, _ = per_pair_reference(params.weights, params.offsets, x, y, targets)
+        assert abs(pair_loss(params, x, y) - expected) <= 1e-12 * scale
 
     # The reference costs about 50 us a pair, and 300 rows have 44,850 pairs.
     @settings(max_examples=6, deadline=None)
