@@ -23,6 +23,10 @@ from .errors import (
 )
 from .rng import DOMAIN_SPLIT, DOMAIN_SYNTHETIC, standard_normal, stream
 
+# The fixed 49/21/30 train/val/test split: 30% of each class to test, 30% of the rest to val.
+_TEST_FRAC = 0.3
+_VAL_FRAC = 0.3
+
 
 def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndarray:
     """``x`` as a float64 feature matrix: 2-D, ``columns`` wide when given,
@@ -142,17 +146,14 @@ def save_csv(ds: LabeledDataset, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def stratified_split(ds: LabeledDataset, test_frac: float = 0.3, val_frac: float = 0.3,
-                     seed: int = 0) -> SplitIndices:
+def stratified_split(ds: LabeledDataset, seed: int = 0) -> SplitIndices:
     """Split a dataset per class, keeping anomaly proportions in each part.
 
     Per class: shuffle the class indices, allocate round-half-up
-    ``test_frac * count`` to test, then round-half-up ``val_frac`` of the
+    ``_TEST_FRAC * count`` to test, then round-half-up ``_VAL_FRAC`` of the
     remainder to val; the rest is train.  Class 0 is processed before
     class 1 on a single seeded stream, so the result is deterministic.
     """
-    if not (0.0 < test_frac < 1.0) or not (0.0 < val_frac < 1.0):
-        raise InvalidArgumentError("test_frac and val_frac must lie in (0, 1)")
     rng = stream(seed, DOMAIN_SPLIT)
     parts = {"train": [], "val": [], "test": []}
     for cls in (0, 1):
@@ -161,8 +162,8 @@ def stratified_split(ds: LabeledDataset, test_frac: float = 0.3, val_frac: float
         if count == 0:
             raise InsufficientClassError(cls)
         shuffled = idx[rng.permutation(count)]
-        n_test = _round_half_up(test_frac * count)
-        n_val = _round_half_up(val_frac * (count - n_test))
+        n_test = _round_half_up(_TEST_FRAC * count)
+        n_val = _round_half_up(_VAL_FRAC * (count - n_test))
         n_train = count - n_test - n_val
         if min(n_test, n_val, n_train) < 1:
             raise InsufficientClassError(cls)

@@ -18,7 +18,6 @@ serves it instead as a rank-``_RANK`` Nystrom factor ``F`` with
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -187,48 +186,14 @@ def _worker_count() -> int:
 
 
 _WORKERS = _worker_count()
-# A call hands blocks to helpers only when it has this many: a helper's
-# first blocks cost the process its OpenBLAS buffer and malloc arena, about
-# 5 MiB at D=1536, which calls of a few blocks do not repay.  score_batch
+# A call hands blocks to helpers only when it has this many: it starts and
+# joins its own, and a helper costs about 0.1 ms, and the process 3 MiB of
+# resident memory at D=1024 after one such call and 6 MiB after ten (4 and
+# 5.5 MiB at D=1536), which calls of a few blocks do not repay.  score_batch
 # and pair_loss embed a chunk of this many blocks at a time, so their memory
 # does not grow with the batch: 8 MiB of embeddings at D=1024.
 _HANDOFF_BLOCKS = 8
 _CHUNK = _HANDOFF_BLOCKS * _BLOCK
-
-
-class _Helpers:
-    """Daemon threads that each run ``(job, done)`` pairs from ``jobs`` and
-    put to ``done`` after each job.  Started by the first call that needs
-    them and kept for the life of the process: a thread per call would cost
-    a fresh OpenBLAS buffer every time."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Forget every thread: a forked child has only the forking one."""
-        self.jobs, self.started, self.lock = queue.SimpleQueue(), 0, threading.Lock()
-
-    def submit(self, job, count: int, done: queue.SimpleQueue) -> None:
-        with self.lock:
-            for _ in range(self.started, count):
-                threading.Thread(target=self._serve, daemon=True).start()
-                self.started += 1
-        for _ in range(count):
-            self.jobs.put((job, done))
-
-    def _serve(self):
-        while True:
-            job, done = self.jobs.get()
-            try:
-                job()
-            finally:
-                done.put(None)
-                job = done = None  # keep no finished call's arrays alive
-
-
-_helpers = _Helpers()
-os.register_at_fork(after_in_child=_helpers.reset)
 
 
 def _for_blocks(rows: int, work, width: int) -> None:
@@ -238,9 +203,10 @@ def _for_blocks(rows: int, work, width: int) -> None:
     ``_WORKERS - 1`` helpers take them in turn from a shared counter, each
     with its own zeroed ``(_BLOCK, width)`` buffer, reused from block to
     block.  The calling thread works alone on fewer than ``_HANDOFF_BLOCKS``
-    blocks.  When blocks raise, the lowest failing block's error is raised,
-    as in a serial loop.  Helpers run ``work``, which may call no public
-    function: a tracer on the calling thread may wrap those.
+    blocks.  The call starts its helpers and joins them before it returns
+    or raises.  When blocks raise, the lowest failing block's error is
+    raised, as in a serial loop.  Helpers run ``work``, which may call no
+    public function: a tracer on the calling thread may wrap those.
     """
     blocks = -(-rows // _BLOCK)
     lock = threading.Lock()
@@ -249,7 +215,7 @@ def _for_blocks(rows: int, work, width: int) -> None:
 
     def run():
         nonlocal taken
-        block = spare.pop()
+        block = np.zeros((_BLOCK, width))
         while True:
             with lock:
                 if taken == blocks or errors:
@@ -264,14 +230,16 @@ def _for_blocks(rows: int, work, width: int) -> None:
                 return
 
     helpers = min(_WORKERS, blocks) - 1 if blocks >= _HANDOFF_BLOCKS else 0
-    # Made here, not by the helpers: a helper's own malloc arena keeps what it frees.
-    spare = [np.zeros((_BLOCK, width)) for _ in range(helpers + 1)]
-    done = queue.SimpleQueue()
-    if helpers > 0:
-        _helpers.submit(run, helpers, done)
-    run()
-    for _ in range(helpers):
-        done.get()
+    started = []
+    try:
+        for _ in range(helpers):
+            helper = threading.Thread(target=run)
+            helper.start()
+            started.append(helper)
+        run()
+    finally:
+        for helper in started:
+            helper.join()
     if errors:
         raise errors[min(errors)]
 

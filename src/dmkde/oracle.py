@@ -48,8 +48,8 @@ def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.
     row, so any blocking gives the same bits.
     """
     train = _feature_matrix(train, min_rows=1)
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be > 0")
+    if sigma <= 0 or not np.isfinite(sigma):
+        raise InvalidArgumentError("sigma must be a positive finite real")
     n, d = train.shape
     queries = _feature_matrix(queries, d)
     norm = (2.0 * np.pi * sigma ** 2) ** (-d / 2.0)

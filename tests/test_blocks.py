@@ -3,9 +3,10 @@
 Embedding, scoring and AFF's cosine table run their row blocks through
 ``density._for_blocks`` on ``density._WORKERS`` threads; sums over blocks
 run in block order on the calling thread.  Results must not depend on the
-worker count, errors must be the ones a serial loop raises, helpers must
-call no public function, and the helper threads must neither multiply nor
-outlive a fork.
+worker count, errors must be the ones a serial loop raises, and helpers
+must call no public function.  Each call starts its own helper threads and
+joins them before it returns or raises, so none outlives the call, and a
+forked child inherits none.
 """
 
 import contextlib
@@ -356,7 +357,7 @@ class TestProcesses:
         done = run_python(["-c", probe], 1, check=True)
         workers_in_force, threads = map(int, done.stdout.split())
         assert workers_in_force == len(os.sched_getaffinity(0))
-        assert threads <= 1 + (workers_in_force - 1)
+        assert threads == 1
 
 
 @pytest.mark.parametrize("blocks,helped", [(density._HANDOFF_BLOCKS - 1, False),
@@ -377,10 +378,36 @@ def test_calls_below_the_hand_off_size_stay_on_the_caller(blocks, helped):
     assert (threads != {threading.get_ident()}) == helped
 
 
-def test_no_helper_thread_at_one_worker():
-    with workers(1):
+@pytest.mark.parametrize("count", WORKER_COUNTS)
+def test_no_helper_outlives_the_call(count):
+    ran = set()
+
+    def work(start, block):
+        ran.add(threading.current_thread())
+        time.sleep(0.01)  # long enough for every helper to take a block
+
+    with workers(count):
         before = threading.active_count()
-        started = []
-        _for_blocks(10 * _BLOCK, lambda start, block: started.append(threading.get_ident()), 4)
+        _for_blocks(10 * _BLOCK, work, 4)
     assert threading.active_count() == before
-    assert set(started) == {threading.get_ident()}
+    assert len(ran) == count and threading.current_thread() in ran
+    assert all(not thread.is_alive() for thread in ran - {threading.current_thread()})
+
+
+def test_helper_that_fails_to_start_leaves_no_thread(monkeypatch):
+    start = threading.Thread.start
+    starts = []
+
+    def start_once(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with workers(3), pytest.raises(RuntimeError, match="can't start new thread"):
+        _for_blocks(10 * _BLOCK, lambda start, block: time.sleep(0.01), 4)
+    assert len(starts) == 2
+    assert threading.active_count() == before
+    assert not starts[0].is_alive()

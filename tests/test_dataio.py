@@ -159,11 +159,6 @@ class TestStratifiedSplit:
             stratified_split(ds, seed=0)
         assert exc.value.label == 1
 
-    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2])
-    def test_fraction_range(self, fixture_100_10, frac):
-        with pytest.raises(InvalidArgumentError):
-            stratified_split(fixture_100_10, test_frac=frac)
-
 
 class TestStandardizer:
     def test_two_point_column(self):

@@ -49,9 +49,10 @@ class TestKdeExact:
         with pytest.raises(InsufficientDataError):
             kde_exact(np.empty((0, 2)), 1.0, np.zeros(2))
 
-    def test_bad_sigma(self):
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_sigma(self, sigma):
         with pytest.raises(InvalidArgumentError):
-            kde_exact(np.zeros((3, 2)), 0.0, np.zeros(2))
+            kde_exact(np.zeros((3, 2)), sigma, np.zeros(2))
 
     @pytest.mark.parametrize("n,m,d", [(1, 1, 1), (257, 158, 2), (33, 200, 17), (3, 129, 64),
                                        (40_000, 70, 2)])
