@@ -28,11 +28,22 @@ _TEST_FRAC = 0.3
 _VAL_FRAC = 0.3
 
 
+def _numbers(x) -> np.ndarray:
+    """``x`` as a float64 array; a ragged or non-numeric input is an argument error."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"expected an array of numbers: {exc}") from None
+
+
 def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndarray:
     """``x`` as a float64 feature matrix: 2-D, ``columns`` wide when given,
-    at least ``min_rows`` rows, every value finite.  The package's one rule
-    for a matrix input with one sample per row."""
-    x = np.asarray(x, dtype=np.float64)
+    at least ``min_rows`` rows, every value finite.  An empty sequence is
+    zero rows.  The package's one rule for a matrix input with one sample
+    per row, as :func:`_feature_vector` is for one sample."""
+    x = _numbers(x)
+    if x.shape == (0,):
+        x = x.reshape(0, columns or 0)
     if x.ndim != 2 or (columns is not None and x.shape[1] != columns):
         width = "" if columns is None else f" with {columns} columns"
         raise InvalidArgumentError(f"expected a 2-D feature matrix{width}, got shape {x.shape}")
@@ -41,6 +52,14 @@ def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndar
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("features contain non-finite values")
     return x
+
+
+def _feature_vector(x, columns: int) -> np.ndarray:
+    """One sample, a vector of ``columns`` finite values, as a one-row feature matrix."""
+    x = _numbers(x)
+    if x.shape != (columns,):
+        raise InvalidArgumentError(f"expected a vector of length {columns}, got shape {x.shape}")
+    return _feature_matrix(x[np.newaxis], columns)
 
 
 @dataclass

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .dataio import _feature_matrix, _feature_vector
+from .errors import InvalidArgumentError
 from .rng import DOMAIN_NYSTROM, standard_normal, stream
 
 _SYMMETRY_TOL = 1e-12
@@ -244,31 +245,18 @@ def _for_blocks(rows: int, work, width: int) -> None:
         raise errors[min(errors)]
 
 
-def _as_embedding_matrix(embeddings) -> np.ndarray:
-    if isinstance(embeddings, np.ndarray) and embeddings.ndim == 2:
-        return np.asarray(embeddings, dtype=np.float64)
-    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
-    if not rows:
-        return np.empty((0, 0))
-    dims = {r.shape for r in rows}
-    if len(dims) > 1 or rows[0].ndim != 1:
-        raise InvalidArgumentError("embeddings must all be 1-D vectors of equal length")
-    return np.vstack(rows)
-
-
 def build_density_matrix(embeddings) -> DensityMatrix:
     """Average the outer products of the given unit-norm embeddings.
 
-    Accepts a sequence of vectors or an (n, D) array.  The result is
-    exactly symmetric: for a C-contiguous ``phi``, numpy computes
-    ``phi.T @ phi`` as one triangle (BLAS ``syrk``) and mirrors it, so no
-    explicit symmetrization is needed.  The width is zero-padded to whole
-    lanes by the block rule (see ``_BLOCK``); a width that is already
-    aligned is used as it is, without a copy.
+    ``embeddings`` is one or more rows by the package's one matrix rule,
+    ``dataio._feature_matrix``.  The result is exactly symmetric: for a
+    C-contiguous ``phi``, numpy computes ``phi.T @ phi`` as one triangle
+    (BLAS ``syrk``) and mirrors it, so no explicit symmetrization is
+    needed.  The width is zero-padded to whole lanes by the block rule
+    (see ``_BLOCK``); a width that is already aligned is used as it is,
+    without a copy.
     """
-    phi = np.ascontiguousarray(_as_embedding_matrix(embeddings))
-    if phi.shape[0] == 0:
-        raise InsufficientDataError("cannot build a density matrix from zero embeddings")
+    phi = np.ascontiguousarray(_feature_matrix(embeddings, min_rows=1))
     n, dim = phi.shape
     phi = _pad_lanes(phi, 1)
     r = phi.T @ phi
@@ -374,29 +362,21 @@ def estimate_density(dm: DensityMatrix | DensityFactor, phi: np.ndarray) -> floa
     ``||F^T phi||^2``.  Bit-identical to the same row scored by
     :func:`estimate_density_batch`.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (dm.embed_dim,):
-        raise InvalidArgumentError(
-            f"query must have shape ({dm.embed_dim},), got {phi.shape}"
-        )
-    return float(estimate_density_batch(dm, phi[np.newaxis])[0])
+    return float(estimate_density_batch(dm, _feature_vector(phi, dm.embed_dim))[0])
 
 
 def estimate_density_batch(dm: DensityMatrix | DensityFactor, phis) -> np.ndarray:
     """Densities for a sequence of query embeddings, in input order.
 
-    Accepts a sequence of vectors or an (m, D) array.  Rows are scored as
-    ``rowsum((block @ R) * block)``, or ``rowsum((block @ F)^2)`` for a
-    factor, in zero-padded blocks, with ``R`` or ``F`` padded to whole
-    lanes, by the block rule (see ``_BLOCK``): each density depends only
-    on its own row, so a batch equals the per-query calls, and any split
-    of it, bit for bit.  A single query therefore costs one whole block.
+    ``phis`` is ``D`` wide by the package's one matrix rule, so ``[]`` is
+    no rows.  Rows are scored as ``rowsum((block @ R) * block)``, or
+    ``rowsum((block @ F)^2)`` for a factor, in zero-padded blocks, with
+    ``R`` or ``F`` padded to whole lanes, by the block rule (see
+    ``_BLOCK``): each density depends only on its own row, so a batch
+    equals the per-query calls, and any split of it, bit for bit.  A
+    single query therefore costs one whole block.
     """
-    phis = _as_embedding_matrix(phis)
-    if phis.shape == (0, 0):  # an empty sequence carries no width to check
-        return np.empty(0)
-    if phis.shape[1] != dm.embed_dim:
-        raise InvalidArgumentError(f"queries must have shape (m, {dm.embed_dim}), got {phis.shape}")
+    phis = _feature_matrix(phis, dm.embed_dim)
     factor = isinstance(dm, DensityFactor)
     out = np.empty(phis.shape[0])
 

@@ -16,7 +16,8 @@ from itertools import product
 import numpy as np
 
 from . import metrics
-from .dataio import _feature_matrix, _round_half_up, apply_standardizer, fit_standardizer
+from .dataio import (_feature_matrix, _feature_vector, _round_half_up, apply_standardizer,
+                     fit_standardizer)
 from .density import (
     _CHUNK,
     FACTOR_BOUND,
@@ -225,23 +226,14 @@ def _fit_in_space(space: tuple, anomaly_rate: float, cfg: FitConfig):
     return model, val_densities
 
 
-def _one_row(model: DetectorModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise InvalidArgumentError(
-            f"expected a vector of length {model.input_dim}, got shape {x.shape}"
-        )
-    return x[np.newaxis]
-
-
 def score(model: DetectorModel, x: np.ndarray) -> float:
     """Density of one sample under the fitted model (threshold-free)."""
-    return float(score_batch(model, _one_row(model, x))[0])
+    return float(score_batch(model, _feature_vector(x, model.input_dim))[0])
 
 
 def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
     """(label, density) for one sample."""
-    labels, densities = predict_batch(model, _one_row(model, x))
+    labels, densities = predict_batch(model, _feature_vector(x, model.input_dim))
     return int(labels[0]), float(densities[0])
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import _feature_matrix
+from .dataio import _feature_matrix, _feature_vector, _numbers
 from .density import _BLOCK, _CHUNK, _for_blocks, _load, _pad_lanes
 from .errors import DegenerateEmbeddingError, InvalidArgumentError
 from .rng import (
@@ -153,8 +153,8 @@ def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarra
 def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
     """Cosine features of ``x``, one vector or rows, one zero-padded block of
     rows at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    rows = _feature_matrix(x[np.newaxis] if x.ndim == 1 else x, params.input_dim)
+    x = _numbers(x)
+    rows = (_feature_vector if x.ndim == 1 else _feature_matrix)(x, params.input_dim)
     scale = np.sqrt(2.0 / params.embed_dim)
     weights_t = _pad_lanes(params.weights.T, 1)
     out = np.empty((rows.shape[0], params.embed_dim))
@@ -167,7 +167,7 @@ def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.n
             _normalize_rows(raw)
 
     _for_blocks(rows.shape[0], embed_block, params.input_dim)
-    return out if x.ndim == 2 else out[0]
+    return out[0] if x.ndim == 1 else out
 
 
 def embed_raw(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:

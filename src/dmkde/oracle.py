@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import _feature_matrix
+from .dataio import _feature_matrix, _feature_vector
 from .detector import classify_batch, compute_threshold
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 #: Bandwidth ratio under which exact KDE tracks the squared-kernel scores.
 KDE_BANDWIDTH_RATIO = 1.0 / np.sqrt(2.0)
@@ -33,10 +33,8 @@ def kde_exact(train: np.ndarray, sigma: float, x: np.ndarray) -> float:
 
     ``(1/n) sum_i (2 pi sigma^2)^(-d/2) exp(-||x - x_i||^2 / (2 sigma^2))``
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidArgumentError(f"query must be a vector, got shape {x.shape}")
-    return float(kde_exact_batch(train, sigma, x[np.newaxis])[0])
+    train = _feature_matrix(train, min_rows=1)
+    return float(kde_exact_batch(train, sigma, _feature_vector(x, train.shape[1]))[0])
 
 
 def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.ndarray:
@@ -68,12 +66,8 @@ def qde_bruteforce(embeddings, phi: np.ndarray) -> float:
     Never forms the density matrix; this is the anti-regression oracle
     for ``density.estimate_density``.
     """
-    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
-    if not rows:
-        raise InsufficientDataError("need at least one embedding")
-    phi = np.asarray(phi, dtype=np.float64)
-    if any(r.shape != phi.shape for r in rows):
-        raise InvalidArgumentError("embeddings and query must share one dimension")
+    rows = _feature_matrix(embeddings, min_rows=1)
+    phi = _feature_vector(phi, rows.shape[1])[0]
     total = 0.0
     for row in rows:
         ip = float(np.dot(row, phi))

@@ -184,7 +184,9 @@ class TestHelpersCallNoPublicFunction:
     def off_thread(self, monkeypatch):
         """``(public, blocks)``: the public functions called off the calling
         thread, and how many blocks helpers loaded, with 2 workers taking
-        every call of two or more blocks."""
+        every call of two or more blocks.  Until a helper has loaded a block,
+        the calling thread sleeps 10 ms at each of its own loads, so that it
+        cannot take every block of a short call before a helper starts."""
         caller = threading.get_ident()
         public, blocks = [], []
 
@@ -193,6 +195,8 @@ class TestHelpersCallNoPublicFunction:
             def watched(*args, **kwargs):
                 if threading.get_ident() != caller:
                     calls.append(name)
+                elif calls is blocks and not blocks:
+                    time.sleep(0.01)
                 return func(*args, **kwargs)
             return watched
 

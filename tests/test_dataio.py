@@ -15,14 +15,17 @@ from dmkde import (
     SyntheticSpec,
     apply_standardizer,
     default_sigma_grid,
+    embed,
     fit,
     fit_standardizer,
     generate_synthetic,
     kde_exact_batch,
     load_csv,
+    pair_loss,
     reference_classifier,
     sample_rff_params,
     save_csv,
+    score_batch,
     stratified_split,
     train_aff,
 )
@@ -299,3 +302,22 @@ class TestFeatureMatrixContract:
     def test_vector_is_invalid_argument(self, call):
         with pytest.raises(InvalidArgumentError, match="2-D feature matrix"):
             call(np.zeros(5), _rows())
+
+    @pytest.mark.parametrize("call", [
+        lambda bad, good: fit(bad, good, 0.1, FitConfig(1.0, 8)),
+        lambda bad, good: score_batch(fit(good, good, 0.1, FitConfig(1.0, 8))[0], bad),
+        lambda bad, good: embed(sample_rff_params(2, 8, 1.0, seed=0), bad),
+        lambda bad, good: pair_loss(sample_rff_params(2, 8, 1.0, seed=0), bad, bad),
+        lambda bad, good: train_aff(sample_rff_params(2, 8, 1.0, seed=0), bad,
+                                    AffConfig(num_pairs=10, epochs=1), 0),
+        lambda bad, good: kde_exact_batch(good, 1.0, bad),
+    ], ids=["fit", "score_batch", "embed", "pair_loss", "train_aff", "kde_exact_batch"])
+    def test_ragged_is_invalid_argument(self, call):
+        with pytest.raises(InvalidArgumentError, match="array of numbers"):
+            call([[0.0, 1.0], [2.0]], _rows())
+
+    def test_empty_sequence_is_zero_rows(self):
+        model, _ = fit(_rows(), _rows(), 0.1, FitConfig(1.0, 8))
+        assert score_batch(model, []).shape == (0,)
+        with pytest.raises(InsufficientDataError, match="at least 2 rows, got 0"):
+            fit_standardizer([])

@@ -283,6 +283,11 @@ class TestEstimateBatch:
         out = estimate_density_batch(dm, [])
         assert out.shape == (0,)
 
+    def test_nonfinite_query_rejected(self):
+        dm = build_density_matrix(np.eye(4)[:1])
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            estimate_density_batch(dm, [[np.nan, 0.0, 0.0, 0.0]])
+
     def test_singleton(self):
         dm = build_density_matrix([np.array([1.0, 0.0])])
         q = np.array([0.6, 0.8])

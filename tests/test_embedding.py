@@ -128,6 +128,12 @@ class TestEmbedRaw:
 
 
 class TestEmbed:
+    def test_wrong_length_vector_named_as_a_vector(self):
+        p = sample_rff_params(3, 8, 1.0, seed=0)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^expected a vector of length 3, got shape \(4,\)$"):
+            embed(p, np.zeros(4))
+
     def test_constant_raw_normalizes_uniformly(self):
         p = EmbeddingParams(np.zeros((4, 2)), np.zeros(4), 1.0, 2, 4)
         phi = embed(p, np.array([1.0, 2.0]))
