@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +106,19 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
 
     ``label_column`` selects the label by header name; by default the
     last column is used.  Rows are reported 1-based counting the header
-    as row 1.
+    as row 1.  A file without quotes, NULs, blank or overlong lines is
+    split at its commas (:func:`_split_plain`) and its body converted in
+    one pass (:func:`_fast_table`); any other file, or a body that pass
+    declines, goes through ``csv`` and the per-cell parser, which names the
+    fault.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
+    plain = _split_plain(text)
+    rows = plain if plain is not None else list(csv.reader(text.splitlines()))
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -123,7 +128,48 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
         if label_column not in header:
             raise ParseError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
+    table = _fast_table(rows, label_idx) if plain is not None else None
+    if table is None:
+        return _parse_cells(path, rows, header, label_idx)
+    return LabeledDataset(np.delete(table, label_idx, axis=1),
+                          table[:, label_idx].astype(np.int64), name=path.stem)
 
+
+def _split_plain(text: str) -> list[list[str]] | None:
+    """The lines of ``text`` split at their commas, which is how ``csv``
+    splits a text without quotes, NULs (an error before Python 3.11), blank
+    lines or lines longer than its field limit; ``None`` for any other text."""
+    lines = text.splitlines()
+    limit = csv.field_size_limit()
+    if '"' in text or "\0" in text or not all(0 < len(line) <= limit for line in lines):
+        return None
+    return [line.split(",") for line in lines]
+
+
+def _fast_table(rows: list[list[str]], label_idx: int) -> np.ndarray | None:
+    """The data rows as one float array, or ``None`` when the per-cell parser
+    could reject them: a ragged row, a cell ``float`` rejects, a non-finite
+    value or a label outside {0, 1}.  Each cell goes through ``float``, as
+    there, so the values are the same bits."""
+    body = rows[1:]
+    width = len(rows[0])
+    if not body or any(len(row) != width for row in body):
+        return None
+    try:
+        table = np.fromiter(map(float, chain.from_iterable(body)), np.float64,
+                            len(body) * width).reshape(len(body), width)
+    except ValueError:
+        return None
+    labels = table[:, label_idx]
+    if not (np.isfinite(table).all() and ((labels == 0.0) | (labels == 1.0)).all()):
+        return None
+    return table
+
+
+def _parse_cells(path: Path, rows: list[list[str]], header: list[str],
+                 label_idx: int) -> LabeledDataset:
+    """The data rows parsed cell by cell; the first bad cell or row raises
+    ``ParseError`` with its row and column."""
     features: list[list[float]] = []
     labels: list[int] = []
     for line_no, row in enumerate(rows[1:], start=2):
@@ -215,7 +261,12 @@ def fit_standardizer(features: np.ndarray):
 
 
 def apply_standardizer(features: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return (np.asarray(features, dtype=np.float64) - shift) / scale
+    """``(features - shift) / scale`` column by column: a feature matrix and
+    two vectors of its width, as :func:`fit_standardizer` makes them, each
+    checked by the package's one rule."""
+    features = _feature_matrix(features)
+    shift, scale = (_feature_vector(v, features.shape[1])[0] for v in (shift, scale))
+    return (features - shift) / scale
 
 
 @dataclass

@@ -35,9 +35,9 @@ _ENTRY_TOL = 1e-12
 # position and thread count, so an unpadded row can change in its last bit
 # with its batch or the thread count.  Every GEMM of embed, AFF, build and
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
-# _LANES (_for_blocks, _load, _whole_lanes, _pad_lanes).  The block bounds scoring
-# temporaries to 2 MiB at D=1024 and runs at the GFLOP/s of a 256- or 512-row
-# one.  As no row's bits depend on the others, the blocks of embed, score and
+# _LANES (_for_blocks, _load, _whole_lanes, _pad_lanes).  A block buffer is
+# 1 MiB at D=1024, and a block runs at the GFLOP/s of a 256- or 512-row one.
+# As no row's bits depend on the others, the blocks of embed, score and
 # AFF's phases may run at once, in any order, on the _WORKERS threads of
 # _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient), AFF's
 # Gram tiles and loops too cheap to hand off run in block order on the
@@ -191,32 +191,34 @@ _WORKERS = _worker_count()
 # joins its own, and a helper costs about 0.1 ms, and the process 3 MiB of
 # resident memory at D=1024 after one such call and 6 MiB after ten (4 and
 # 5.5 MiB at D=1536), which calls of a few blocks do not repay.  score_batch
-# and pair_loss embed a chunk of this many blocks at a time, so their memory
-# does not grow with the batch: 8 MiB of embeddings at D=1024.
+# streams its rows through one block map, raw row to density in each block,
+# so its memory is two (_BLOCK, D) buffers per worker whatever the batch.
+# pair_loss embeds a chunk of this many blocks at a time: 8 MiB of
+# embeddings per side at D=1024.
 _HANDOFF_BLOCKS = 8
 _CHUNK = _HANDOFF_BLOCKS * _BLOCK
 
 
-def _for_blocks(rows: int, work, width: int) -> None:
-    """Call ``work(start, block)`` for every ``start`` in ``range(0, rows, _BLOCK)``.
+def _for_blocks(rows: int, work, *widths: int) -> None:
+    """Call ``work(start, *buffers)`` for every ``start`` in ``range(0, rows, _BLOCK)``.
 
     The blocks must be independent: the calling thread and up to
     ``_WORKERS - 1`` helpers take them in turn from a shared counter, each
-    with its own zeroed ``(_BLOCK, width)`` buffer, reused from block to
-    block.  The calling thread works alone on fewer than ``_HANDOFF_BLOCKS``
-    blocks.  The call starts its helpers and joins them before it returns
-    or raises.  When blocks raise, the lowest failing block's error is
-    raised, as in a serial loop.  Helpers run ``work``, which may call no
-    public function: a tracer on the calling thread may wrap those.
+    with its own zeroed ``(_BLOCK, width)`` buffer per width, made on the
+    calling thread and reused from block to block.  The calling thread
+    works alone on fewer than ``_HANDOFF_BLOCKS`` blocks.  The call starts
+    its helpers and joins them before it returns or raises.  When blocks
+    raise, the lowest failing block's error is raised, as in a serial loop.
+    Helpers run ``work``, which may call no public function: a tracer on the
+    calling thread may wrap those.
     """
     blocks = -(-rows // _BLOCK)
     lock = threading.Lock()
     taken = 0
     errors: dict = {}
 
-    def run():
+    def run(buffers):
         nonlocal taken
-        block = np.zeros((_BLOCK, width))
         while True:
             with lock:
                 if taken == blocks or errors:
@@ -224,20 +226,21 @@ def _for_blocks(rows: int, work, width: int) -> None:
                 k = taken
                 taken += 1
             try:
-                work(k * _BLOCK, block)
+                work(k * _BLOCK, *buffers)
             except BaseException as exc:  # raised again on the calling thread
                 with lock:
                     errors[k] = exc
                 return
 
     helpers = min(_WORKERS, blocks) - 1 if blocks >= _HANDOFF_BLOCKS else 0
+    buffers = [[np.zeros((_BLOCK, width)) for width in widths] for _ in range(helpers + 1)]
     started = []
     try:
-        for _ in range(helpers):
-            helper = threading.Thread(target=run)
+        for own in buffers[1:]:
+            helper = threading.Thread(target=run, args=(own,))
             helper.start()
             started.append(helper)
-        run()
+        run(buffers[0])
     finally:
         for helper in started:
             helper.join()
@@ -377,14 +380,26 @@ def estimate_density_batch(dm: DensityMatrix | DensityFactor, phis) -> np.ndarra
     single query therefore costs one whole block.
     """
     phis = _feature_matrix(phis, dm.embed_dim)
-    factor = isinstance(dm, DensityFactor)
     out = np.empty(phis.shape[0])
 
-    def score(start, block):
+    def score(start, block, spare):
         count = _load(block, phis, start)
-        product = block @ dm._padded
-        out[start:start + count] = np.einsum(
-            "ij,ij->i", product, product if factor else block)[:count]
+        _score_block(dm, block, spare, out[start:start + count])
 
-    _for_blocks(phis.shape[0], score, dm._padded.shape[0])
+    _for_blocks(phis.shape[0], score, *dm._padded.shape)
     return out
+
+
+def _score_block(dm: DensityMatrix | DensityFactor, block: np.ndarray, spare: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Densities of the first ``len(out)`` rows of ``block``, a zero-padded
+    ``(_BLOCK, W)`` block of embeddings, written into ``out``.  ``block @ R``
+    or ``block @ F`` goes into the front of ``spare``, a ``(_BLOCK, >= k)``
+    buffer.  The one scoring step of :func:`estimate_density_batch` and of
+    ``detector.score_batch``."""
+    columns = dm._padded.shape[1]
+    product = spare.reshape(-1)[:_BLOCK * columns].reshape(_BLOCK, columns)
+    np.matmul(block, dm._padded, out=product)
+    count = out.shape[0]
+    other = product if isinstance(dm, DensityFactor) else block
+    np.einsum("ij,ij->i", product[:count], other[:count], out=out)

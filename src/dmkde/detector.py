@@ -16,18 +16,20 @@ from itertools import product
 import numpy as np
 
 from . import metrics
-from .dataio import (_feature_matrix, _feature_vector, _round_half_up, apply_standardizer,
-                     fit_standardizer)
+from .dataio import (_feature_matrix, _feature_vector, _numbers, _round_half_up,
+                     apply_standardizer, fit_standardizer)
 from .density import (
-    _CHUNK,
     FACTOR_BOUND,
     DensityFactor,
     DensityMatrix,
+    _for_blocks,
+    _pad_lanes,
+    _score_block,
     build_density_matrix,
     estimate_density_batch,
     sketch_density_matrix,
 )
-from .embedding import (AffConfig, EmbeddingParams, default_sigma_grid, embed,
+from .embedding import (AffConfig, EmbeddingParams, _embed_block, default_sigma_grid, embed,
                         sample_rff_params, train_aff)
 from .errors import InsufficientDataError, InvalidArgumentError
 from .rng import DOMAIN_REFIT_SPLIT, stream
@@ -136,12 +138,12 @@ def compute_threshold(val_densities, anomaly_rate: float) -> float:
     sorted ascending and h = rate * (m - 1), the threshold is
     ``v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)])``.
     Rate 0 maps to -inf (nothing is anomalous), rate 1 to the maximum.
+    The densities are a nonempty vector by the package's one vector rule.
     """
-    values = np.asarray(val_densities, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
+    values = _numbers(val_densities)
+    values = _feature_vector(values, values.size)[0]
+    if values.size == 0:
         raise InsufficientDataError("need a nonempty 1-D sequence of densities")
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("densities must be finite")
     rate = float(anomaly_rate)
     if not (0.0 <= rate <= 1.0):
         raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
@@ -240,14 +242,35 @@ def predict(model: DetectorModel, x: np.ndarray) -> tuple[int, float]:
 def score_batch(model: DetectorModel, x: np.ndarray) -> np.ndarray:
     """Density of each row of ``x`` under the fitted model (threshold-free).
 
-    Rows are embedded and scored ``_CHUNK`` at a time; both steps are
-    row-stable, so the chunking does not change a bit.
+    Rows stream through one block map (see :func:`_score_rows`), so memory
+    does not grow with the batch beyond ``x`` and the result, and each
+    density equals ``estimate_density_batch(model.dm, embed(model.embedding,
+    model.standardize(x)))`` bit for bit.
     """
     x = model.standardize(_feature_matrix(x, model.input_dim))
+    return _score_rows(model.embedding, model.dm, x)
+
+
+def _score_rows(params: EmbeddingParams, dm: DensityMatrix | DensityFactor,
+                x: np.ndarray) -> np.ndarray:
+    """Densities of the rows of ``x``, already in the fitted space.
+
+    Each ``_BLOCK``-row block is embedded into a zero-padded ``(_BLOCK, W)``
+    buffer and scored from it, by the same two steps as :func:`embed` and
+    :func:`estimate_density_batch`, in one ``_for_blocks`` call: a worker
+    holds that buffer and a spare of its shape, and no embedding matrix is
+    made.
+    """
+    weights_t = _pad_lanes(params.weights.T, 1)
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _CHUNK):
-        chunk = embed(model.embedding, x[start:start + _CHUNK])
-        out[start:start + _CHUNK] = estimate_density_batch(model.dm, chunk)
+
+    def score_block(start, block, phi, spare):
+        count = _embed_block(params, x, start, block, spare, weights_t, phi, True)
+        phi[count:] = 0.0
+        _score_block(dm, phi, spare, out[start:start + count])
+
+    width = weights_t.shape[1]
+    _for_blocks(x.shape[0], score_block, params.input_dim, width, width)
     return out
 
 

@@ -134,20 +134,37 @@ def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -
     return EmbeddingParams(weights, offsets, float(sigma), int(input_dim), int(embed_dim))
 
 
-def _phase(rows: np.ndarray, start: int, block: np.ndarray, weights_t: np.ndarray,
-           offsets: np.ndarray) -> np.ndarray:
-    """``rows[start:start + _BLOCK] @ W^T + b``, one row per row of the block.
+def _phase(rows: np.ndarray, start: int, block: np.ndarray, spare: np.ndarray,
+           weights_t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``rows[start:start + _BLOCK] @ W^T + b``, one row per row of the block,
+    as a view of ``spare``.
 
-    ``block`` is a ``(_BLOCK, d)`` buffer for :func:`dmkde.density._load`
-    and ``weights_t`` is ``W^T`` padded to whole lanes, so every GEMM is
-    ``(_BLOCK, d) @ (d, W)`` by the block rule of :mod:`dmkde.density`.
-    Shared by :func:`embed` and :func:`_gram_kernel`, so it takes bare arrays:
-    training moves ``offsets`` outside [0, 2*pi) mid-run.
+    ``block`` is a ``(_BLOCK, d)`` buffer for :func:`dmkde.density._load`,
+    ``weights_t`` is ``W^T`` padded to whole lanes and ``spare`` a buffer of
+    its shape, so every GEMM is ``(_BLOCK, d) @ (d, W)`` by the block rule
+    of :mod:`dmkde.density`.  Shared by :func:`_embed_block` and
+    :func:`_gram_kernel`, so it takes bare arrays: training moves
+    ``offsets`` outside [0, 2*pi) mid-run.
     """
     count = _load(block, rows, start)
-    phase = (block @ weights_t)[:count, :offsets.shape[0]]
+    phase = np.matmul(block, weights_t, out=spare)[:count, :offsets.shape[0]]
     phase += offsets
     return phase
+
+
+def _embed_block(params: EmbeddingParams, rows: np.ndarray, start: int, block: np.ndarray,
+                 spare: np.ndarray, weights_t: np.ndarray, out: np.ndarray,
+                 normalize: bool) -> int:
+    """Cosine features of ``rows[start:start + _BLOCK]`` into the first rows
+    and ``D`` columns of ``out``, unit-normalized when ``normalize``; returns
+    how many rows.  Buffers as for :func:`_phase`.  The one embedding step
+    of :func:`embed`, :func:`embed_raw` and ``detector.score_batch``."""
+    phase = _phase(rows, start, block, spare, weights_t, params.offsets)
+    raw = np.cos(phase, out=out[:phase.shape[0], :params.embed_dim])
+    raw *= np.sqrt(2.0 / params.embed_dim)
+    if normalize:
+        _normalize_rows(raw, spare)
+    return raw.shape[0]
 
 
 def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.ndarray:
@@ -155,18 +172,13 @@ def _embed_rows(params: EmbeddingParams, x: np.ndarray, normalize: bool) -> np.n
     rows at a time."""
     x = _numbers(x)
     rows = (_feature_vector if x.ndim == 1 else _feature_matrix)(x, params.input_dim)
-    scale = np.sqrt(2.0 / params.embed_dim)
     weights_t = _pad_lanes(params.weights.T, 1)
     out = np.empty((rows.shape[0], params.embed_dim))
 
-    def embed_block(start, block):
-        phase = _phase(rows, start, block, weights_t, params.offsets)
-        raw = np.cos(phase, out=out[start:start + phase.shape[0]])
-        raw *= scale
-        if normalize:
-            _normalize_rows(raw)
+    def embed_block(start, block, spare):
+        _embed_block(params, rows, start, block, spare, weights_t, out[start:], normalize)
 
-    _for_blocks(rows.shape[0], embed_block, params.input_dim)
+    _for_blocks(rows.shape[0], embed_block, params.input_dim, weights_t.shape[1])
     return out[0] if x.ndim == 1 else out
 
 
@@ -180,9 +192,12 @@ def embed_raw(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
     return _embed_rows(params, x, normalize=False)
 
 
-def _normalize_rows(raw: np.ndarray) -> None:
-    """Divide each row of ``raw`` by its Euclidean norm, in place."""
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+def _normalize_rows(raw: np.ndarray, spare: np.ndarray) -> None:
+    """Divide each row of ``raw`` by its Euclidean norm, in place.  The norm
+    is ``np.linalg.norm``'s, ``sqrt(add.reduce(raw * raw))``, with the
+    squares written into the front of ``spare``."""
+    squares = np.multiply(raw, raw, out=spare[:raw.shape[0], :raw.shape[1]])
+    norms = np.sqrt(np.add.reduce(squares, axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateEmbeddingError("raw embedding is the zero vector; cannot normalize")
     np.divide(raw, norms, out=raw)
@@ -198,8 +213,16 @@ def embed(params: EmbeddingParams, x: np.ndarray) -> np.ndarray:
 
 
 def gaussian_kernel(x, y, sigma: float):
-    """exp(-||x - y||^2 / (2 sigma^2)), rowwise for 2-D inputs."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    """exp(-||x - y||^2 / (2 sigma^2)), rowwise for 2-D inputs.
+
+    ``x`` and ``y`` are each one sample or rows of ``x``'s width, by the
+    package's one rules; a sample against rows broadcasts.
+    """
+    x, y = _numbers(x), _numbers(y)
+    width = x.shape[-1] if x.ndim else 0
+    x, y = (_feature_vector(a, width)[0] if a.ndim == 1 else _feature_matrix(a, width)
+            for a in (x, y))
+    diff = x - y
     sq = np.sum(diff * diff, axis=-1)
     return np.exp(-sq / (2.0 * float(sigma) ** 2))
 
@@ -225,14 +248,14 @@ def _gram_kernel(weights, offsets, rows, targets, need_grad):
     cos = np.zeros((padded, weights_t.shape[1]))
     sin = np.zeros_like(cos) if need_grad else None
 
-    def trig_block(start, block):
-        phase = _phase(rows, start, block, weights_t, offsets)
+    def trig_block(start, block, spare):
+        phase = _phase(rows, start, block, spare, weights_t, offsets)
         live = slice(start, start + phase.shape[0])
         np.cos(phase, out=cos[live, :embed_dim])
         if need_grad:
             np.sin(phase, out=sin[live, :embed_dim])
 
-    _for_blocks(count, trig_block, input_dim)
+    _for_blocks(count, trig_block, input_dim, weights_t.shape[1])
     tiles = [slice(start, start + _BLOCK) for start in range(0, padded, _BLOCK)]
     gram = np.empty((padded, padded))
     for tile in tiles:

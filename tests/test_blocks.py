@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,54 @@ class TestSameBitsAtAnyWorkerCount:
             return [out.weights, out.offsets]
 
         assert_same_bits(at_each_count(trained))
+
+
+class TestScoreRowsKernel:
+    """``score_batch`` takes raw rows to densities one block at a time, by
+    the same steps as ``embed`` and ``estimate_density_batch``."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(rows=st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 8 * _BLOCK + 1)),
+           dim=st.sampled_from((64, 100)), factor=st.booleans(), standardize=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_embed_then_estimate(self, rows, dim, factor, standardize, seed):
+        rng = np.random.default_rng(seed)
+        params = sample_rff_params(4, dim, 2.0, seed)
+        if factor:
+            f = rng.normal(size=(dim, 7))
+            dm = DensityFactor(f / np.linalg.norm(f), 60)
+        else:
+            dm = build_density_matrix(embed(params, rng.normal(size=(60, 4))))
+        shift, scale = (rng.normal(size=4), rng.uniform(0.5, 2.0, 4)) if standardize else (None,
+                                                                                            None)
+        model = DetectorModel(params, dm, 0.1, 0.05, False, shift, scale,
+                              0.0 if factor else None)
+        x = rng.normal(size=(rows, 4))
+        outputs = at_each_count(lambda: [
+            score_batch(model, x),
+            estimate_density_batch(model.dm, embed(model.embedding, model.standardize(x)))])
+        assert all(out[:rows * 8] == out[rows * 8:] for out in outputs)
+        assert_same_bits(outputs)
+
+    def test_memory_is_blocks_per_worker_not_rows(self):
+        """Fixed before measuring: three ``(_BLOCK, D)`` buffers per worker
+        (two are used) plus 32 bytes per input value and row."""
+        rows, d, dim, count = 4 * density._CHUNK, 8, 1024, 2
+        rng = np.random.default_rng(2)
+        params = sample_rff_params(d, dim, 2.0, 2)
+        dm = build_density_matrix(embed(params, rng.normal(size=(200, d))))
+        model = DetectorModel(params, dm, 0.1, 0.05, False, np.zeros(d), np.ones(d), None)
+        x = rng.normal(size=(rows, d))
+        bound = 3 * count * (_BLOCK * 8 * dim) + 32 * rows * (d + 1)
+        with workers(count):
+            score_batch(model, x[:_BLOCK])
+            tracemalloc.start()
+            try:
+                score_batch(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < bound
 
 
 class TestBlockMap:

@@ -1,7 +1,12 @@
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmkde import (
     AffConfig,
@@ -14,10 +19,12 @@ from dmkde import (
     ParseError,
     SyntheticSpec,
     apply_standardizer,
+    compute_threshold,
     default_sigma_grid,
     embed,
     fit,
     fit_standardizer,
+    gaussian_kernel,
     generate_synthetic,
     kde_exact_batch,
     load_csv,
@@ -29,6 +36,7 @@ from dmkde import (
     stratified_split,
     train_aff,
 )
+from dmkde import dataio
 from tests.conftest import ODDS_DIR, two_cluster_spec
 
 
@@ -101,6 +109,93 @@ class TestLoadCsv:
         assert len(ds) == 452
         assert ds.features.shape[1] == 274
         assert ds.anomaly_rate == pytest.approx(0.146, abs=0.001)
+
+
+def _load_both(text):
+    """``load_csv`` of ``text`` as it runs and with the plain split declined,
+    so that ``csv`` and the per-cell parser read every row: each outcome is
+    the dataset's bytes or the ``ParseError``'s message, row and column."""
+    def outcome():
+        try:
+            ds = load_csv(path)
+        except ParseError as exc:
+            return ("error", str(exc), exc.row, exc.column)
+        return ("dataset", ds.features.shape, ds.features.tobytes(), ds.labels.tobytes())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = outcome()
+        with mock.patch.object(dataio, "_split_plain", lambda text: None):
+            cells = outcome()
+    return fast, cells
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "oops", "", " 1.5 ", "1_0", "0x1",
+                     '"1"', "-0.0", "1e-320", "\t2"]),
+)
+_LABELS = st.sampled_from(["0", "1", "1.0", "-0", " 1", "0.0", "2", "0.5", "nan", "x", '"0"'])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header and rows of 1-3 feature cells and a label, mostly clean; any
+    row may be ragged or blank, and the lines may end in ``\r\n``."""
+    width = draw(st.integers(1, 3))
+    lines = [",".join([f"f{i}" for i in range(width)] + ["label"])]
+    for _ in range(draw(st.integers(0, 6))):
+        clean = draw(st.booleans())
+        feats = draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False).map(repr) if clean else _CELLS,
+            min_size=width, max_size=width))
+        label = draw(st.sampled_from(["0", "1"]) if clean else _LABELS)
+        row = feats + [label]
+        shape = draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank"]))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["0"]
+        lines.append("" if shape == "blank" else ",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestCsvFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_csv_texts())
+    @example(text="a,label\n1.5,0\n")
+    @example(text='a,label\n"1.5",0\n')
+    @example(text="a,label\n1,0\n\n2,1\n")
+    @example(text="a,b,label\n1,2,0\n1,1\n")
+    @example(text="a,label\noops,0\n")
+    @example(text="a,label\n1e400,0\n")
+    @example(text="a,label\n1,2\n")
+    @example(text="a,label\n0,1,0\n1,0\n")
+    @example(text="a,label\n1,0\n\x002,1\n")
+    @example(text="a,label\r1,0\x0c2,1\u2028")
+    @example(text="a,label\n")
+    def test_same_bytes_or_same_error_as_the_per_cell_parser(self, text):
+        fast, cells = _load_both(text)
+        assert fast == cells
+
+    def test_clean_file_never_reaches_the_per_cell_parser(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-cell parser ran")
+
+        path = tmp_path / "clean.csv"
+        ds = generate_synthetic(two_cluster_spec(), seed=3)
+        save_csv(ds, path)
+        monkeypatch.setattr(dataio, "_parse_cells", refuse)
+        back = load_csv(path)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
+        path.write_text("a, b ,label\r\n-0.0, 1e-320,1.0\r\n7,1_0,-0\r\n", encoding="utf-8")
+        back = load_csv(path, label_column="label")
+        assert back.features.tolist() == [[-0.0, 1e-320], [7.0, 10.0]]
+        assert back.labels.tolist() == [1, 0]
 
 
 class TestSaveLoadRoundTrip:
@@ -287,8 +382,12 @@ class TestFeatureMatrixContract:
         lambda bad, good: kde_exact_batch(bad, 1.0, good),
         lambda bad, good: kde_exact_batch(good, 1.0, bad),
         lambda bad, good: reference_classifier(good, good, bad, 0.1, 1.0),
+        lambda bad, good: apply_standardizer(bad, np.zeros(2), np.ones(2)),
+        lambda bad, good: apply_standardizer(good, bad[3], np.ones(2)),
+        lambda bad, good: gaussian_kernel(bad, good, 1.0),
     ], ids=["fit_standardizer", "default_sigma_grid", "train_aff", "kde_exact_batch-train",
-            "kde_exact_batch-queries", "reference_classifier"])
+            "kde_exact_batch-queries", "reference_classifier", "apply_standardizer",
+            "apply_standardizer-shift", "gaussian_kernel"])
     def test_nonfinite_features_rejected(self, call):
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             call(_rows(nan=True), _rows())
@@ -311,7 +410,11 @@ class TestFeatureMatrixContract:
         lambda bad, good: train_aff(sample_rff_params(2, 8, 1.0, seed=0), bad,
                                     AffConfig(num_pairs=10, epochs=1), 0),
         lambda bad, good: kde_exact_batch(good, 1.0, bad),
-    ], ids=["fit", "score_batch", "embed", "pair_loss", "train_aff", "kde_exact_batch"])
+        lambda bad, good: apply_standardizer(bad, np.zeros(2), np.ones(2)),
+        lambda bad, good: gaussian_kernel(bad, good, 1.0),
+        lambda bad, good: compute_threshold(bad, 0.1),
+    ], ids=["fit", "score_batch", "embed", "pair_loss", "train_aff", "kde_exact_batch",
+            "apply_standardizer", "gaussian_kernel", "compute_threshold"])
     def test_ragged_is_invalid_argument(self, call):
         with pytest.raises(InvalidArgumentError, match="array of numbers"):
             call([[0.0, 1.0], [2.0]], _rows())

@@ -32,8 +32,8 @@ from dmkde import (
     score_batch,
     stratified_split,
 )
-from dmkde.density import FACTOR_BOUND, DensityFactor
-from dmkde.detector import _CHUNK, classify_batch
+from dmkde.density import _CHUNK, FACTOR_BOUND, DensityFactor
+from dmkde.detector import classify_batch
 from dmkde.rng import stream
 from tests.conftest import two_cluster_spec
 from dmkde import generate_synthetic

@@ -158,7 +158,7 @@ class TestEmbed:
 
     def test_zero_raw_vector_is_degenerate(self):
         with pytest.raises(DegenerateEmbeddingError):
-            _normalize_rows(np.zeros((1, 4)))
+            _normalize_rows(np.zeros((1, 4)), np.empty((1, 4)))
 
     @pytest.mark.parametrize("d,D", [(2, 100), (1, 17), (3, 255), (3, 511), (5, 700), (8, 1024)])
     def test_single_rows_equal_batch_rows_bitwise(self, d, D):
