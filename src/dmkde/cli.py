@@ -283,27 +283,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def benchmark_dataset(ds: LabeledDataset, settings: dict,
-                      aff: AffConfig) -> tuple[dict, dict, tuple]:
-    """Grid search on train/val, refit on train+val, evaluate on test, at
-    ``settings`` that ``cmd_benchmark`` has checked and their ``aff``.
+def benchmark_dataset(ds: LabeledDataset, grid: list[FitConfig],
+                      rate: float | None) -> tuple[dict, dict, tuple]:
+    """Grid search on train/val over ``grid``, the configs ``cmd_benchmark``
+    built and checked, then refit on train+val and evaluate on test.  The
+    split takes the grid's seed; ``rate=None`` is the dataset's label rate.
 
     Returns the report, the summary-table row, and the per-sample
     prediction columns (test indices, densities, labels, truths).
     """
-    seed = settings["seed"]
-    split = stratified_split(ds, seed=seed)
+    split = stratified_split(ds, seed=grid[0].seed)
     train, val, test = (ds.features[split.train], ds.features[split.val],
                         ds.features[split.test])
-    rate = settings["anomaly_rate"]
     if rate is None:
         rate = ds.anomaly_rate
-    best_cfg, search_report = grid_search(
-        train, val, ds.labels[split.val], rate, settings["grid_sigma"],
-        settings["grid_embed_dim"] or [settings["embed_dim"]],
-        settings["grid_use_aff"] or [settings["use_aff"]],
-        aff=aff, seed=seed, standardize=settings["standardize"],
-    )
+    best_cfg, search_report = grid_search(train, val, ds.labels[split.val], rate, grid)
     combined = np.vstack([train, val])
     model = fit_with_internal_split(combined, rate, best_cfg)
     pred, densities = predict_batch(model, test)
@@ -330,8 +324,9 @@ def cmd_benchmark(args) -> int:
     for key in ("grid_sigma", "grid_embed_dim", "grid_use_aff"):
         if settings[key] == []:
             raise ConfigError(f"{key} must list at least one value")
-    # Each grid point's config, built before the dataset loop so that a bad
-    # value fails the command, not each dataset.  benchmark reads no sigma.
+    # Each grid point's config, built once before the dataset loop so that a
+    # bad value fails the command, not each dataset.  benchmark reads no
+    # sigma: without grid_sigma, grid_search expands the default sigma grid.
     dims = [{"embed_dim": dim} for dim in settings["grid_embed_dim"] or []] or [{}]
     uses = [{"use_aff": use} for use in settings["grid_use_aff"] or []] or [{}]
     grid = [_fit_config(settings, sigma=sigma, **dim, **use)
@@ -347,7 +342,7 @@ def cmd_benchmark(args) -> int:
     for path in paths:
         try:
             ds = load_csv(path, label_column=args.label_column)
-            report, row, predictions = benchmark_dataset(ds, settings, grid[0].aff)
+            report, row, predictions = benchmark_dataset(ds, grid, settings["anomaly_rate"])
             report_path = out_dir / f"{ds.name}.report.json"
             report_path.write_text(canonical_json(report), encoding="utf-8")
             _write_predictions(out_dir / f"{ds.name}.predictions.csv", *predictions)

@@ -63,6 +63,16 @@ def _feature_vector(x, columns: int) -> np.ndarray:
     return _feature_matrix(x[np.newaxis], columns)
 
 
+def _label_vector(labels, rows: int) -> np.ndarray:
+    """``labels`` as an int64 vector of ``rows`` values, each 0 (normal) or
+    1 (anomaly): the vector rule, then an exact {0, 1} check, then the cast,
+    so that a fractional label is an error rather than truncated."""
+    labels = _feature_vector(labels, rows)[0]
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise InvalidArgumentError("labels must be 0 or 1")
+    return labels.astype(np.int64)
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with {0 normal, 1 anomaly} labels."""
@@ -73,11 +83,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = _feature_matrix(self.features)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.features.shape[0],):
-            raise InvalidArgumentError("labels must be a vector aligned with feature rows")
-        if self.labels.size and not np.all((self.labels == 0) | (self.labels == 1)):
-            raise InvalidArgumentError("labels must be 0 or 1")
+        self.labels = _label_vector(self.labels, self.features.shape[0])
 
     @property
     def anomaly_rate(self) -> float:
@@ -132,7 +138,7 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
     if table is None:
         return _parse_cells(path, rows, header, label_idx)
     return LabeledDataset(np.delete(table, label_idx, axis=1),
-                          table[:, label_idx].astype(np.int64), name=path.stem)
+                          table[:, label_idx], name=path.stem)
 
 
 def _split_plain(text: str) -> list[list[str]] | None:
@@ -196,9 +202,7 @@ def _parse_cells(path: Path, rows: list[list[str]], header: list[str],
         features.append(feat_row)
     if not features:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(features, dtype=np.float64),
-                          np.array(labels, dtype=np.int64),
-                          name=path.stem)
+    return LabeledDataset(np.array(features, dtype=np.float64), labels, name=path.stem)
 
 
 def save_csv(ds: LabeledDataset, path) -> None:

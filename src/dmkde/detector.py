@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
 
 import numpy as np
 
 from . import metrics
-from .dataio import (_feature_matrix, _feature_vector, _numbers, _round_half_up,
-                     apply_standardizer, fit_standardizer)
+from .dataio import (_feature_matrix, _feature_vector, _label_vector, _numbers,
+                     _round_half_up, apply_standardizer, fit_standardizer)
 from .density import (
     FACTOR_BOUND,
     DensityFactor,
@@ -280,42 +279,42 @@ def predict_batch(model: DetectorModel, x: np.ndarray) -> tuple[np.ndarray, np.n
     return classify_batch(densities, model.theta), densities
 
 
-def grid_search(train, val, val_labels, anomaly_rate, sigmas, embed_dims,
-                use_aff_options=(False,), aff: AffConfig | None = None,
-                seed: int = 0, standardize: bool = True):
-    """Exhaustive search for the configuration with the best weighted F1.
+def grid_search(train, val, val_labels, anomaly_rate, configs):
+    """Exhaustive search over ``configs`` for the best weighted F1.
 
-    Fits one model per grid point (training only on ``train``), scores
-    ``val``, and returns ``(best_config, report)`` where the report holds
-    one row per configuration in grid order (sigma outermost, then
-    embed_dim, then use_aff).  Ties keep the earliest configuration.
-    ``sigmas=None`` is the ``default_sigma_grid`` of the standardized
-    train; as in ``fit``, standardization is fitted on ``train``, once.
+    Fits one model per config (training only on ``train``), scores ``val``,
+    and returns ``(best_config, report)``, one report row per config in
+    grid order; ties keep the earliest.  The configs share one ``seed`` and
+    one ``standardize``, which fix the space they are fitted in: as in
+    ``fit``, the standardizer is fitted on ``train``, once.  Every config
+    sets ``sigma`` or none does; ``sigma=None`` stands for each sigma of
+    that space's ``default_sigma_grid``, sigma outermost.  A grid that
+    breaks these rules, or labels that are not {0, 1}, raise before any fit.
     """
-    embed_dims = list(embed_dims)
-    use_aff_options = list(use_aff_options)
-    sigmas = None if sigmas is None else list(sigmas)
-    if sigmas == [] or not embed_dims or not use_aff_options:
+    configs = list(configs)
+    if not configs:
         raise InvalidArgumentError("grid values must be nonempty")
-    space = _fitted_space(train, val, anomaly_rate, standardize)
-    val_labels = np.asarray(val_labels, dtype=np.int64)
-    if val_labels.shape != (space[1].shape[0],):
-        raise InvalidArgumentError("val_labels must align with val rows")
-    if sigmas is None:
-        sigmas = default_sigma_grid(space[0], seed)
+    first = configs[0]
+    if any((c.seed, c.standardize) != (first.seed, first.standardize) for c in configs):
+        raise InvalidArgumentError("grid configs must share one seed and one standardize")
+    if len({c.sigma is None for c in configs}) > 1:
+        raise InvalidArgumentError("either every grid config sets sigma or none does")
+    space = _fitted_space(train, val, anomaly_rate, first.standardize)
+    val_labels = _label_vector(val_labels, space[1].shape[0])
+    if first.sigma is None:
+        configs = [replace(cfg, sigma=sigma)
+                   for sigma in default_sigma_grid(space[0], first.seed) for cfg in configs]
 
     report = []
     best_cfg = None
     best_f1 = -1.0
-    for sigma, embed_dim, use_aff in product(sigmas, embed_dims, use_aff_options):
-        cfg = FitConfig(sigma=sigma, embed_dim=embed_dim, use_aff=use_aff,
-                        aff=aff or AffConfig(), seed=seed, standardize=standardize)
+    for cfg in configs:
         model, val_densities = _fit_in_space(space, anomaly_rate, cfg)
         pred = classify_batch(val_densities, model.theta)
         row = {
-            "sigma": float(sigma),
-            "embed_dim": int(embed_dim),
-            "use_aff": bool(use_aff),
+            "sigma": float(cfg.sigma),
+            "embed_dim": int(cfg.embed_dim),
+            "use_aff": bool(cfg.use_aff),
             "theta": float(model.theta),
             "f1_weighted": metrics.f1_weighted(val_labels, pred),
             "f1_anomaly": metrics.f1_anomaly(val_labels, pred),

@@ -164,7 +164,7 @@ def test_criterion_6_end_to_end_benchmark(capsys, two_cluster_dataset):
     shift, scale = dmkde.fit_standardizer(train)
     grid = dmkde.default_sigma_grid(dmkde.apply_standardizer(train, shift, scale))
     best_cfg, _ = dmkde.grid_search(train, val, ds.labels[split.val], rate,
-                                    grid, [4096], seed=1)
+                                    [dmkde.FitConfig(sigma, 4096, seed=1) for sigma in grid])
     model, _ = dmkde.fit(train, val, rate, best_cfg)
     pred, densities = dmkde.predict_batch(model, test)
     f1w = dmkde.f1_weighted(ds.labels[split.test], pred)

@@ -271,8 +271,9 @@ class TestHelpersCallNoPublicFunction:
                                                              aff=aff, seed=3))[0]
                   for use_aff in (False, True)]
         labels = (np.arange(val.shape[0]) % 10 == 0).astype(np.int64)
-        dmkde.grid_search(train, val, labels, 0.1, [1.0, 2.0], [64], [False, True],
-                          aff=aff, seed=3)
+        dmkde.grid_search(train, val, labels, 0.1,
+                          [dmkde.FitConfig(sigma, 64, use_aff=use_aff, aff=aff, seed=3)
+                           for sigma in (1.0, 2.0) for use_aff in (False, True)])
         for model in models:
             score_batch(model, rng.normal(size=(3 * _BLOCK + 5, 2)))
         sketch_density_matrix(random_unit_vectors(rng, 150, 256), 3)

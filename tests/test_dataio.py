@@ -358,6 +358,15 @@ class TestLabeledDataset:
         with pytest.raises(InvalidArgumentError):
             LabeledDataset(np.zeros((2, 1)), np.array([0, 2]))
 
+    def test_rejects_fractional_labels(self):
+        # Checked before the cast, which would truncate them to [0, 1].
+        with pytest.raises(InvalidArgumentError, match="labels must be 0 or 1"):
+            LabeledDataset(np.zeros((2, 2)), [0.5, 1.7])
+
+    def test_labels_are_int64(self):
+        ds = LabeledDataset(np.zeros((3, 1)), [1.0, 0.0, True])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 1]
+
     def test_anomaly_rate_is_label_mean(self):
         ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 1, 0]))
         assert ds.anomaly_rate == 0.5

@@ -36,7 +36,7 @@ from dmkde.density import _CHUNK, FACTOR_BOUND, DensityFactor
 from dmkde.detector import classify_batch
 from dmkde.rng import stream
 from tests.conftest import two_cluster_spec
-from dmkde import generate_synthetic
+from dmkde import detector, generate_synthetic
 
 
 class TestFitConfig:
@@ -284,16 +284,36 @@ def dataset():
             ds.labels[split.val], ds.anomaly_rate)
 
 
+def grid(sigmas, embed_dims, seed=1, standardize=True):
+    """The FitConfig of each (sigma, embed_dim) pair, sigma outermost."""
+    return [FitConfig(sigma=sigma, embed_dim=dim, seed=seed, standardize=standardize)
+            for sigma in sigmas for dim in embed_dims]
+
+
+@pytest.fixture()
+def search_fits(monkeypatch):
+    """List that gains one entry per fit a search runs."""
+    calls = []
+    inner = detector._fit_in_space
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(detector, "_fit_in_space", counted)
+    return calls
+
+
 class TestGridSearch:
     def test_singleton_grid(self, dataset):
         train, val, labels, rate = dataset
-        best, report = grid_search(train, val, labels, rate, [1.0], [64], seed=1)
+        best, report = grid_search(train, val, labels, rate, grid([1.0], [64]))
         assert best.sigma == 1.0 and best.embed_dim == 64
         assert len(report) == 1
 
     def test_tie_breaks_to_first_in_grid_order(self, dataset):
         train, val, labels, rate = dataset
-        best, report = grid_search(train, val, labels, rate, [1.0], [128, 256], seed=1)
+        best, report = grid_search(train, val, labels, rate, grid([1.0], [128, 256]))
         f1s = [row["f1_weighted"] for row in report]
         if f1s[0] == f1s[1]:
             assert best.embed_dim == 128
@@ -302,13 +322,13 @@ class TestGridSearch:
 
     def test_argmax_consistent_with_report(self, dataset):
         train, val, labels, rate = dataset
-        best, report = grid_search(train, val, labels, rate, [0.1, 1.0, 10.0], [256], seed=1)
+        best, report = grid_search(train, val, labels, rate, grid([0.1, 1.0, 10.0], [256]))
         best_row = next(r for r in report if r["sigma"] == best.sigma)
         assert best_row["f1_weighted"] == max(r["f1_weighted"] for r in report)
 
     def test_selected_config_scores_well(self, dataset):
         train, val, labels, rate = dataset
-        best, _ = grid_search(train, val, labels, rate, [0.25, 0.5, 1.0, 2.0], [512], seed=1)
+        best, _ = grid_search(train, val, labels, rate, grid([0.25, 0.5, 1.0, 2.0], [512]))
         model, _ = fit(train, val, rate, best)
         pred, _ = predict_batch(model, val)
         assert f1_weighted(labels, pred) >= 0.9
@@ -316,12 +336,30 @@ class TestGridSearch:
     def test_empty_grid(self, dataset):
         train, val, labels, rate = dataset
         with pytest.raises(InvalidArgumentError):
-            grid_search(train, val, labels, rate, [], [64], seed=1)
+            grid_search(train, val, labels, rate, [])
 
     def test_misaligned_labels(self, dataset):
         train, val, labels, rate = dataset
         with pytest.raises(InvalidArgumentError):
-            grid_search(train, val, labels[:-1], rate, [1.0], [64], seed=1)
+            grid_search(train, val, labels[:-1], rate, grid([1.0], [64]))
+
+    def test_fractional_labels(self, dataset, search_fits):
+        train, val, labels, rate = dataset
+        with pytest.raises(InvalidArgumentError, match="labels must be 0 or 1"):
+            grid_search(train, val, np.where(labels == 1, 1.0, 0.9), rate, grid([1.0], [64]))
+        assert search_fits == []
+
+    @pytest.mark.parametrize("configs", [
+        grid([1.0], [16], seed=1) + grid([2.0], [16], seed=2),
+        grid([1.0], [16]) + grid([2.0], [16], standardize=False),
+        grid([1.0], [16]) + grid([None], [16]),
+        grid([None], [16]) + grid([1.0], [16]),
+    ], ids=["seeds", "standardize", "sigma-set-first", "sigma-unset-first"])
+    def test_mixed_grid_raises_before_any_fit(self, dataset, search_fits, configs):
+        train, val, labels, rate = dataset
+        with pytest.raises(InvalidArgumentError, match="grid config"):
+            grid_search(train, val, labels, rate, configs)
+        assert search_fits == []
 
 
 class TestSearchInOneSpace:
@@ -331,35 +369,42 @@ class TestSearchInOneSpace:
     @given(n=st.integers(6, 40), m=st.integers(6, 40), d=st.integers(1, 4),
            standardize=st.booleans(), seed=st.integers(0, 2**32 - 1),
            sigmas=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=3),
+           dims=st.lists(st.integers(1, 24), min_size=2, max_size=3),
            rate=st.floats(0.0, 0.5))
-    def test_rows_equal_independent_fits(self, n, m, d, standardize, seed, sigmas, rate):
+    def test_rows_equal_independent_fits(self, n, m, d, standardize, seed, sigmas, dims, rate):
         rng = np.random.default_rng(seed)
         shift, scale = rng.normal(size=d) * 10, np.exp(rng.normal(size=d))
         train = rng.normal(size=(n, d)) * scale + shift
         val = rng.normal(size=(m, d)) * 2 * scale + shift
         labels = rng.integers(0, 2, size=m)
         fit_seed = seed % 7
-        _, report = grid_search(train, val, labels, rate, sigmas, [16], seed=fit_seed,
-                                standardize=standardize)
-        for row, sigma in zip(report, sigmas):
-            model, densities = fit(train, val, rate, FitConfig(
-                sigma=sigma, embed_dim=16, seed=fit_seed, standardize=standardize))
-            pred = classify_batch(densities, model.theta)
-            assert row["theta"] == model.theta
-            assert (row["f1_weighted"], row["f1_anomaly"], row["accuracy"]) == (
-                f1_weighted(labels, pred), f1_anomaly(labels, pred), accuracy(labels, pred))
+        # A product grid over sigmas at D=16, then sigma paired with D.
+        for configs in (grid(sigmas, [16], fit_seed, standardize),
+                        [FitConfig(sigma=sigma, embed_dim=dim, seed=fit_seed,
+                                   standardize=standardize)
+                         for sigma, dim in zip(sigmas, dims)]):
+            _, report = grid_search(train, val, labels, rate, configs)
+            assert len(report) == len(configs)
+            for row, cfg in zip(report, configs):
+                model, densities = fit(train, val, rate, cfg)
+                pred = classify_batch(densities, model.theta)
+                assert (row["sigma"], row["embed_dim"]) == (cfg.sigma, cfg.embed_dim)
+                assert row["theta"] == model.theta
+                assert (row["f1_weighted"], row["f1_anomaly"], row["accuracy"]) == (
+                    f1_weighted(labels, pred), f1_anomaly(labels, pred), accuracy(labels, pred))
 
         fitted = apply_standardizer(train, *fit_standardizer(train)) if standardize else train
-        explicit = grid_search(train, val, labels, rate, default_sigma_grid(fitted, fit_seed),
-                               [16], seed=fit_seed, standardize=standardize)
-        assert grid_search(train, val, labels, rate, None, [16], seed=fit_seed,
-                           standardize=standardize) == explicit
+        explicit = grid_search(train, val, labels, rate,
+                               grid(default_sigma_grid(fitted, fit_seed), dims, fit_seed,
+                                    standardize))
+        assert grid_search(train, val, labels, rate,
+                           grid([None], dims, fit_seed, standardize)) == explicit
 
     def test_one_standardizer_fit_per_search(self, dataset, standardizer_fits):
         train, val, labels, rate = dataset
-        grid_search(train, val, labels, rate, [0.5, 1.0, 2.0], [32, 64], seed=1)
+        grid_search(train, val, labels, rate, grid([0.5, 1.0, 2.0], [32, 64]))
         assert len(standardizer_fits) == 1
-        grid_search(train, val, labels, rate, None, [32], seed=1)
+        grid_search(train, val, labels, rate, grid([None], [32]))
         assert len(standardizer_fits) == 2
 
     def test_default_sigma_is_the_median_of_the_fitted_train(self, dataset, standardizer_fits):
