@@ -39,7 +39,7 @@ from .detector import (
     predict_batch,
 )
 from .density import DensityFactor
-from .errors import ConfigError, InvalidArgumentError, ParseError
+from .errors import ConfigError, InvalidArgumentError, ParseError, _count, _rate
 from .modelio import load_model, save_model
 from .oracle import KDE_BANDWIDTH_RATIO, kde_exact_batch, reference_classifier
 
@@ -132,8 +132,10 @@ def _settings(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
+    try:
+        values["seed"] = _count("seed", values["seed"], 0)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -141,18 +143,17 @@ def _fit_config(settings: dict, **grid) -> FitConfig:
     """The FitConfig of ``settings``, AFF settings included, with each
     ``grid`` value (from its ``grid_<field>`` list) in place of its field.
     A bad value of a key a fit reads is a ConfigError that names the key."""
-    rate = settings["anomaly_rate"]
-    if rate is not None and not 0.0 <= rate <= 1.0:  # NaN fails too
-        raise ConfigError(f"anomaly_rate must lie in [0, 1], got {rate}")
     fields = {key: settings[key]
               for key in ("sigma", "embed_dim", "use_aff", "seed", "standardize")}
-    # Each AffConfig and FitConfig message opens with its field's name.
+    # Each rule's message opens with its field's name.
     try:
         aff = AffConfig(num_pairs=settings["aff_num_pairs"], epochs=settings["aff_epochs"],
                         learning_rate=settings["aff_learning_rate"])
     except InvalidArgumentError as exc:
         raise ConfigError(f"aff_{exc}") from exc
     try:
+        if settings["anomaly_rate"] is not None:
+            _rate("anomaly_rate", settings["anomaly_rate"])
         return FitConfig(**(fields | grid), aff=aff)
     except InvalidArgumentError as exc:
         raise ConfigError(f"grid_{exc}" if str(exc).split()[0] in grid else str(exc)) from exc
@@ -243,8 +244,8 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
         val = ds.features[split.val]
         oracle_doc = _oracle_comparison(model, train, val, test, pred, densities)
 
-    config = {"sigma": float(model.embedding.sigma),
-              "embed_dim": int(model.embedding.embed_dim),
+    config = {"sigma": model.embedding.sigma,
+              "embed_dim": model.embedding.embed_dim,
               "use_aff": bool(model.use_aff),
               "standardize": model.shift is not None}
     report = _report(ds, split, config, model, "test", pred, oracle_doc)
@@ -253,7 +254,7 @@ def evaluate_model(model: DetectorModel, ds: LabeledDataset, seed: int,
 
 def _oracle_comparison(model: DetectorModel, train, val, test, pred, densities) -> dict:
     train, val, test = model.standardize(train), model.standardize(val), model.standardize(test)
-    kde_sigma = float(model.embedding.sigma * KDE_BANDWIDTH_RATIO)
+    kde_sigma = model.embedding.sigma * KDE_BANDWIDTH_RATIO
     ref_labels = reference_classifier(train, val, test, model.anomaly_rate, kde_sigma)
     kde_scores = kde_exact_batch(train, kde_sigma, test)
     return {
@@ -308,9 +309,9 @@ def benchmark_dataset(ds: LabeledDataset, grid: list[FitConfig],
     summary_row = {
         "dataset": ds.name,
         "status": "ok",
-        "sigma": float(best_cfg.sigma),
-        "embed_dim": int(best_cfg.embed_dim),
-        "use_aff": bool(best_cfg.use_aff),
+        "sigma": best_cfg.sigma,
+        "embed_dim": best_cfg.embed_dim,
+        "use_aff": best_cfg.use_aff,
         "val_f1_weighted": best_val_f1,
         "test_f1_weighted": test_metrics["f1_weighted"],
         "test_f1_anomaly": test_metrics["f1_anomaly"],

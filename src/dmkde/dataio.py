@@ -21,6 +21,8 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
     ParseError,
+    _count,
+    _positive,
 )
 from .rng import DOMAIN_SPLIT, DOMAIN_SYNTHETIC, standard_normal, stream
 
@@ -37,11 +39,12 @@ def _numbers(x) -> np.ndarray:
         raise InvalidArgumentError(f"expected an array of numbers: {exc}") from None
 
 
-def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndarray:
-    """``x`` as a float64 feature matrix: 2-D, ``columns`` wide when given,
-    at least ``min_rows`` rows, every value finite.  An empty sequence is
-    zero rows.  The package's one rule for a matrix input with one sample
-    per row, as :func:`_feature_vector` is for one sample."""
+def _feature_matrix(x, columns: int | None = None, min_rows: int = 0,
+                    name: str = "features") -> np.ndarray:
+    """``x``, which errors call ``name``, as a float64 feature matrix: 2-D,
+    ``columns`` wide when given, at least ``min_rows`` rows, every value
+    finite.  An empty sequence is zero rows.  The package's one rule for a
+    matrix input with one sample per row, as :func:`_feature_vector` is for one sample."""
     x = _numbers(x)
     if x.shape == (0,):
         x = x.reshape(0, columns or 0)
@@ -51,25 +54,25 @@ def _feature_matrix(x, columns: int | None = None, min_rows: int = 0) -> np.ndar
     if x.shape[0] < min_rows:
         raise InsufficientDataError(f"need at least {min_rows} rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("features contain non-finite values")
+        raise InvalidArgumentError(f"non-finite values in {name}")
     return x
 
 
-def _feature_vector(x, columns: int) -> np.ndarray:
+def _feature_vector(x, columns: int, name: str = "features") -> np.ndarray:
     """One sample, a vector of ``columns`` finite values, as a one-row feature matrix."""
     x = _numbers(x)
     if x.shape != (columns,):
         raise InvalidArgumentError(f"expected a vector of length {columns}, got shape {x.shape}")
-    return _feature_matrix(x[np.newaxis], columns)
+    return _feature_matrix(x[np.newaxis], columns, name=name)
 
 
-def _label_vector(labels, rows: int) -> np.ndarray:
+def _label_vector(labels, rows: int, name: str = "labels") -> np.ndarray:
     """``labels`` as an int64 vector of ``rows`` values, each 0 (normal) or
     1 (anomaly): the vector rule, then an exact {0, 1} check, then the cast,
     so that a fractional label is an error rather than truncated."""
-    labels = _feature_vector(labels, rows)[0]
+    labels = _feature_vector(labels, rows, name)[0]
     if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise InvalidArgumentError("labels must be 0 or 1")
+        raise InvalidArgumentError(f"{name} must be 0 or 1")
     return labels.astype(np.int64)
 
 
@@ -243,7 +246,7 @@ def stratified_split(ds: LabeledDataset, seed: int = 0) -> SplitIndices:
         train=np.sort(np.concatenate(parts["train"])),
         val=np.sort(np.concatenate(parts["val"])),
         test=np.sort(np.concatenate(parts["test"])),
-        seed=int(seed),
+        seed=_count("seed", seed, 0),
     )
 
 
@@ -269,7 +272,8 @@ def apply_standardizer(features: np.ndarray, shift: np.ndarray, scale: np.ndarra
     two vectors of its width, as :func:`fit_standardizer` makes them, each
     checked by the package's one rule."""
     features = _feature_matrix(features)
-    shift, scale = (_feature_vector(v, features.shape[1])[0] for v in (shift, scale))
+    shift, scale = (_feature_vector(v, features.shape[1], name)[0]
+                    for v, name in ((shift, "shift"), (scale, "scale")))
     return (features - shift) / scale
 
 
@@ -282,11 +286,11 @@ class GaussianComponent:
     count: int
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.mean = _numbers(self.mean)
         if self.mean.ndim != 1 or self.mean.size < 1:
             raise InvalidArgumentError("component mean must be a 1-D vector")
         d = self.mean.size
-        cov = np.asarray(self.cov, dtype=np.float64)
+        cov = _numbers(self.cov)
         if cov.ndim == 0:
             cov = float(cov) * np.eye(d)
         elif cov.ndim == 1:
@@ -296,9 +300,7 @@ class GaussianComponent:
         if cov.shape != (d, d):
             raise InvalidArgumentError("covariance must be scalar, diagonal, or d x d")
         self.cov = cov
-        self.count = int(self.count)
-        if self.count < 1:
-            raise InvalidArgumentError("component count must be >= 1")
+        self.count = _count("count", self.count, 1)
 
 
 @dataclass
@@ -319,8 +321,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.components:
             raise InvalidArgumentError("at least one mixture component is required")
-        self.box_low = np.asarray(self.box_low, dtype=np.float64)
-        self.box_high = np.asarray(self.box_high, dtype=np.float64)
+        self.box_low, self.box_high = _numbers(self.box_low), _numbers(self.box_high)
         d = self.components[0].mean.size
         for comp in self.components:
             if comp.mean.size != d:
@@ -329,12 +330,10 @@ class SyntheticSpec:
             raise InvalidArgumentError("box bounds must be vectors of the data dimension")
         if np.any(self.box_high <= self.box_low):
             raise InvalidArgumentError("box_high must exceed box_low in every coordinate")
-        self.anomaly_count = int(self.anomaly_count)
-        if self.anomaly_count < 0:
-            raise InvalidArgumentError("anomaly_count must be >= 0")
-        self.exclusion_radius = float(self.exclusion_radius)
-        if self.exclusion_radius < 0:
-            raise InvalidArgumentError("exclusion_radius must be >= 0")
+        self.anomaly_count = _count("anomaly_count", self.anomaly_count, 0)
+        # 0 turns the exclusion off; any other radius is a length, like a bandwidth.
+        self.exclusion_radius = (0.0 if self.exclusion_radius == 0 else
+                                 _positive("exclusion_radius", self.exclusion_radius))
 
     @property
     def dim(self) -> int:
@@ -343,20 +342,10 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
         try:
-            components = [
-                GaussianComponent(np.asarray(c["mean"], dtype=np.float64),
-                                  np.asarray(c.get("cov", 1.0), dtype=np.float64),
-                                  int(c["count"]))
-                for c in doc["components"]
-            ]
-            return cls(
-                components=components,
-                anomaly_count=int(doc["anomaly_count"]),
-                box_low=np.asarray(doc["box_low"], dtype=np.float64),
-                box_high=np.asarray(doc["box_high"], dtype=np.float64),
-                exclusion_radius=float(doc.get("exclusion_radius", 0.0)),
-                name=str(doc.get("name", "synthetic")),
-            )
+            components = [GaussianComponent(c["mean"], c.get("cov", 1.0), c["count"])
+                          for c in doc["components"]]
+            return cls(components, doc["anomaly_count"], doc["box_low"], doc["box_high"],
+                       doc.get("exclusion_radius", 0.0), str(doc.get("name", "synthetic")))
         except (KeyError, TypeError) as exc:
             raise InvalidArgumentError(f"malformed synthetic spec: {exc}") from exc
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import _feature_matrix, _feature_vector
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _count
 from .rng import DOMAIN_NYSTROM, standard_normal, stream
 
 _SYMMETRY_TOL = 1e-12
@@ -62,11 +62,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.sample_count = int(self.sample_count)
+        self.sample_count = _count("sample_count", self.sample_count, 1)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidArgumentError(f"matrix must be square, got shape {self.matrix.shape}")
-        if self.sample_count < 1:
-            raise InvalidArgumentError("sample_count must be >= 1")
         if not np.all(np.isfinite(self.matrix)):
             raise InvalidArgumentError("matrix contains non-finite entries")
         if _max_asymmetry(self.matrix) > _SYMMETRY_TOL:
@@ -99,11 +97,9 @@ class DensityFactor:
 
     def __post_init__(self):
         self.factor = np.asarray(self.factor, dtype=np.float64)
-        self.sample_count = int(self.sample_count)
+        self.sample_count = _count("sample_count", self.sample_count, 1)
         if self.factor.ndim != 2 or not 1 <= self.factor.shape[1] <= self.factor.shape[0]:
             raise InvalidArgumentError(f"factor must be D x k with k <= D, got {self.factor.shape}")
-        if self.sample_count < 1:
-            raise InvalidArgumentError("sample_count must be >= 1")
         if not np.all(np.isfinite(self.factor)):
             raise InvalidArgumentError("factor contains non-finite entries")
         if abs(float(np.sum(self.factor * self.factor)) - 1.0) > _TRACE_TOL:

@@ -30,7 +30,7 @@ from .density import (
 )
 from .embedding import (AffConfig, EmbeddingParams, _embed_block, default_sigma_grid, embed,
                         sample_rff_params, train_aff)
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, _count, _positive, _rate
 from .rng import DOMAIN_REFIT_SPLIT, stream
 
 NORMAL = 0
@@ -51,16 +51,12 @@ class FitConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        self.embed_dim = int(self.embed_dim)
-        self.use_aff = bool(self.use_aff)
-        self.seed = int(self.seed)
-        self.standardize = bool(self.standardize)
         if self.sigma is not None:
-            self.sigma = float(self.sigma)
-            if self.sigma <= 0 or not math.isfinite(self.sigma):
-                raise InvalidArgumentError("sigma must be a positive finite real")
-        if self.embed_dim < 1:
-            raise InvalidArgumentError("embed_dim must be >= 1")
+            self.sigma = _positive("sigma", self.sigma)
+        self.embed_dim = _count("embed_dim", self.embed_dim, 1)
+        self.use_aff = bool(self.use_aff)
+        self.seed = _count("seed", self.seed, 0)
+        self.standardize = bool(self.standardize)
 
 
 @dataclass
@@ -87,7 +83,7 @@ class DetectorModel:
 
     def __post_init__(self):
         self.theta = float(self.theta)
-        self.anomaly_rate = float(self.anomaly_rate)
+        self.anomaly_rate = _rate("anomaly_rate", self.anomaly_rate)
         if self.embedding.embed_dim != self.dm.embed_dim:
             raise InvalidArgumentError("embedding and density matrix dimensions differ")
         if self.sketch_bound is not None:
@@ -98,8 +94,6 @@ class DetectorModel:
                 self.sketch_bound is not None and self.sketch_bound <= FACTOR_BOUND):
             raise InvalidArgumentError(f"a factor is served only with a sketch_bound <= "
                                        f"{FACTOR_BOUND}, got {self.sketch_bound}")
-        if not (0.0 <= self.anomaly_rate <= 1.0):
-            raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
         if self.anomaly_rate == 0.0:
             if self.theta != float("-inf"):
                 raise InvalidArgumentError("theta must be -inf when anomaly_rate is 0")
@@ -140,12 +134,10 @@ def compute_threshold(val_densities, anomaly_rate: float) -> float:
     The densities are a nonempty vector by the package's one vector rule.
     """
     values = _numbers(val_densities)
-    values = _feature_vector(values, values.size)[0]
+    values = _feature_vector(values, values.size, "densities")[0]
     if values.size == 0:
         raise InsufficientDataError("need a nonempty 1-D sequence of densities")
-    rate = float(anomaly_rate)
-    if not (0.0 <= rate <= 1.0):
-        raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
+    rate = _rate("anomaly_rate", anomaly_rate)
     if rate == 0.0:
         return float("-inf")
     ordered = np.sort(values)
@@ -167,12 +159,12 @@ def classify_batch(densities, theta: float) -> np.ndarray:
 
 
 def _fitted_space(train, val, anomaly_rate, standardize: bool):
-    """``(train, val, shift, scale)``: both sets checked, then z-scored by the
-    standardizer fitted on ``train``, or as given (no shift or scale)."""
+    """``(train, val, shift, scale)``: both sets and the rate checked, then
+    the sets z-scored by the standardizer fitted on ``train``, or as given
+    (no shift or scale)."""
     train = _feature_matrix(train, min_rows=1)
     val = _feature_matrix(val, train.shape[1], min_rows=1)
-    if not (0.0 <= float(anomaly_rate) <= 1.0):
-        raise InvalidArgumentError("anomaly_rate must lie in [0, 1]")
+    _rate("anomaly_rate", anomaly_rate)
     if not standardize:
         return train, val, None, None
     shift, scale = fit_standardizer(train)
@@ -223,7 +215,7 @@ def _fit_in_space(space: tuple, anomaly_rate: float, cfg: FitConfig):
     del phi  # the training embedding is not held while val is embedded
     val_densities = estimate_density_batch(dm, embed(params, val))
     theta = compute_threshold(val_densities, anomaly_rate)
-    model = DetectorModel(params, dm, theta, float(anomaly_rate), used_aff, shift, scale, bound)
+    model = DetectorModel(params, dm, theta, anomaly_rate, used_aff, shift, scale, bound)
     return model, val_densities
 
 
@@ -312,10 +304,10 @@ def grid_search(train, val, val_labels, anomaly_rate, configs):
         model, val_densities = _fit_in_space(space, anomaly_rate, cfg)
         pred = classify_batch(val_densities, model.theta)
         row = {
-            "sigma": float(cfg.sigma),
-            "embed_dim": int(cfg.embed_dim),
-            "use_aff": bool(cfg.use_aff),
-            "theta": float(model.theta),
+            "sigma": cfg.sigma,
+            "embed_dim": cfg.embed_dim,
+            "use_aff": cfg.use_aff,
+            "theta": model.theta,
             "f1_weighted": metrics.f1_weighted(val_labels, pred),
             "f1_anomaly": metrics.f1_anomaly(val_labels, pred),
             "accuracy": metrics.accuracy(val_labels, pred),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import _feature_matrix, _feature_vector, _numbers
 from .density import _BLOCK, _CHUNK, _for_blocks, _load, _pad_lanes
-from .errors import DegenerateEmbeddingError, InvalidArgumentError
+from .errors import DegenerateEmbeddingError, InvalidArgumentError, _count, _positive
 from .rng import (
     _TWO_PI,
     DOMAIN_AFF_ROWS,
@@ -63,13 +63,9 @@ class EmbeddingParams:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        self.sigma = float(self.sigma)
-        self.input_dim = int(self.input_dim)
-        self.embed_dim = int(self.embed_dim)
-        if self.input_dim < 1 or self.embed_dim < 1:
-            raise InvalidArgumentError("input_dim and embed_dim must be >= 1")
-        if self.sigma <= 0 or not np.isfinite(self.sigma):
-            raise InvalidArgumentError("sigma must be a positive finite real")
+        self.sigma = _positive("sigma", self.sigma)
+        self.input_dim = _count("input_dim", self.input_dim, 1)
+        self.embed_dim = _count("embed_dim", self.embed_dim, 1)
         if self.weights.shape != (self.embed_dim, self.input_dim):
             raise InvalidArgumentError(
                 f"weights must have shape ({self.embed_dim}, {self.input_dim}), "
@@ -105,15 +101,9 @@ class AffConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        self.num_pairs = int(self.num_pairs)
-        self.epochs = int(self.epochs)
-        self.learning_rate = float(self.learning_rate)
-        if self.num_pairs < 1:
-            raise InvalidArgumentError("num_pairs must be >= 1")
-        if self.epochs < 0:
-            raise InvalidArgumentError("epochs must be >= 0")
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
-            raise InvalidArgumentError("learning_rate must be a positive finite real")
+        self.num_pairs = _count("num_pairs", self.num_pairs, 1)
+        self.epochs = _count("epochs", self.epochs, 0)
+        self.learning_rate = _positive("learning_rate", self.learning_rate)
 
 
 def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -> EmbeddingParams:
@@ -123,15 +113,13 @@ def sample_rff_params(input_dim: int, embed_dim: int, sigma: float, seed: int) -
     The two draws use independent streams derived from ``seed``, so the
     result is bit-identical for identical arguments.
     """
-    if input_dim < 1 or embed_dim < 1:
-        raise InvalidArgumentError("input_dim and embed_dim must be >= 1")
-    if sigma <= 0 or not np.isfinite(sigma):
-        raise InvalidArgumentError("sigma must be a positive finite real")
+    input_dim, embed_dim = _count("input_dim", input_dim, 1), _count("embed_dim", embed_dim, 1)
+    sigma = _positive("sigma", sigma)
     w_rng = stream(seed, DOMAIN_RFF_WEIGHTS)
     b_rng = stream(seed, DOMAIN_RFF_OFFSETS)
-    weights = standard_normal(w_rng, (embed_dim, input_dim)) / float(sigma)
+    weights = standard_normal(w_rng, (embed_dim, input_dim)) / sigma
     offsets = _TWO_PI * b_rng.random(embed_dim)
-    return EmbeddingParams(weights, offsets, float(sigma), int(input_dim), int(embed_dim))
+    return EmbeddingParams(weights, offsets, sigma, input_dim, embed_dim)
 
 
 def _phase(rows: np.ndarray, start: int, block: np.ndarray, spare: np.ndarray,
@@ -224,7 +212,7 @@ def gaussian_kernel(x, y, sigma: float):
             for a in (x, y))
     diff = x - y
     sq = np.sum(diff * diff, axis=-1)
-    return np.exp(-sq / (2.0 * float(sigma) ** 2))
+    return np.exp(-sq / (2.0 * _positive("sigma", sigma) ** 2))
 
 
 def _gram_kernel(weights, offsets, rows, targets, need_grad):

@@ -1,8 +1,44 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for each
+kind of scalar argument: a count, a bandwidth, a rate."""
+
+import math
 
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition (shape, range, value)."""
+
+
+def _exact(kind: type, value):
+    """``kind(value)`` when it equals ``value`` (no cut fraction, no parsed string), else None."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return converted if converted == value else None
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an ``int``: a whole number (``16`` or ``16.0``) >= ``low``."""
+    whole = _exact(int, value)
+    if whole is None or whole < low:
+        raise InvalidArgumentError(f"{name} must be a whole number >= {low}, got {value!r}")
+    return whole
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a ``float``: a positive finite real, as a bandwidth is."""
+    real = _exact(float, value)
+    if real is None or not 0.0 < real < math.inf:
+        raise InvalidArgumentError(f"{name} must be a positive finite real, got {value!r}")
+    return real
+
+
+def _rate(name: str, value) -> float:
+    """``value`` as a ``float``: a rate in [0, 1]."""
+    real = _exact(float, value)
+    if real is None or not 0.0 <= real <= 1.0:
+        raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value!r}")
+    return real
 
 
 class InsufficientDataError(ValueError):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _label_vector, _numbers
 from .errors import InvalidArgumentError
 
 
@@ -28,16 +29,13 @@ class ConfusionCounts:
 
 
 def _check_labels(y_true, y_pred):
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.ndim != 1 or y_true.shape != y_pred.shape:
-        raise InvalidArgumentError("label vectors must be 1-D and of equal length")
+    """Both label vectors by the package's one label rule, ``y_pred`` at
+    ``y_true``'s length."""
+    y_true = _numbers(y_true)
+    y_true = _label_vector(y_true, y_true.size, "y_true")
     if y_true.size == 0:
         raise InvalidArgumentError("label vectors must be nonempty")
-    for name, v in (("y_true", y_true), ("y_pred", y_pred)):
-        if not np.all((v == 0) | (v == 1)):
-            raise InvalidArgumentError(f"{name} contains entries outside {{0, 1}}")
-    return y_true.astype(np.int64), y_pred.astype(np.int64)
+    return y_true, _label_vector(y_pred, y_true.size, "y_pred")
 
 
 def confusion(y_true, y_pred) -> ConfusionCounts:

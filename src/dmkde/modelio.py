@@ -118,9 +118,9 @@ def model_to_document(model: DetectorModel) -> dict:
         "input_dim": model.embedding.input_dim,
         "embed_dim": model.embedding.embed_dim,
         "sample_count": model.dm.sample_count,
-        "sigma": float(model.embedding.sigma),
-        "theta": float(model.theta),
-        "anomaly_rate": float(model.anomaly_rate),
+        "sigma": model.embedding.sigma,
+        "theta": model.theta,
+        "anomaly_rate": model.anomaly_rate,
         "use_aff": bool(model.use_aff),
         "shift": _encode(model.shift),
         "scale": _encode(model.scale),

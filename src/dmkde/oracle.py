@@ -13,14 +13,16 @@ on rankings and labels, with the KDE bandwidth set to sigma / sqrt(2)
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dataio import _feature_matrix, _feature_vector
 from .detector import classify_batch, compute_threshold
-from .errors import InvalidArgumentError
+from .errors import _positive
 
 #: Bandwidth ratio under which exact KDE tracks the squared-kernel scores.
-KDE_BANDWIDTH_RATIO = 1.0 / np.sqrt(2.0)
+KDE_BANDWIDTH_RATIO = 1.0 / math.sqrt(2.0)
 
 # Exact KDE scores up to 64 queries at once, holding at most 2^22 doubles
 # (32 MiB) of differences to the training rows.
@@ -46,8 +48,7 @@ def kde_exact_batch(train: np.ndarray, sigma: float, queries: np.ndarray) -> np.
     row, so any blocking gives the same bits.
     """
     train = _feature_matrix(train, min_rows=1)
-    if sigma <= 0 or not np.isfinite(sigma):
-        raise InvalidArgumentError("sigma must be a positive finite real")
+    sigma = _positive("sigma", sigma)
     n, d = train.shape
     queries = _feature_matrix(queries, d)
     norm = (2.0 * np.pi * sigma ** 2) ** (-d / 2.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import _count
 
 # Stream domains. The values participate in the reproducibility contract
 # of serialized models: models built from a given seed must not change
@@ -37,9 +37,7 @@ _TWO_PI = 2.0 * np.pi
 
 def stream(seed: int, domain: int) -> np.random.Generator:
     """Return the PCG64 generator for the (seed, domain) pair."""
-    if int(seed) < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain),))
+    ss = np.random.SeedSequence(entropy=_count("seed", seed, 0), spawn_key=(int(domain),))
     return np.random.Generator(np.random.PCG64(ss))
 
 

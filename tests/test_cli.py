@@ -81,6 +81,22 @@ class TestGenerate:
         out = tmp_path / "data.csv"
         assert main(["generate", str(bad), "--out", str(out)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("component,top", [
+        ({"count": 2.5}, {}), ({}, {"anomaly_count": 1.9}),
+        ({"mean": "abc"}, {}), ({"mean": [-3.0, [0.0]]}, {}), ({"cov": "x"}, {}),
+        ({}, {"box_low": "x"}), ({}, {"exclusion_radius": "abc"}),
+    ])
+    def test_bad_spec_value_is_config_error(self, tmp_path, component, top):
+        # A count is a whole number, and an array of numbers goes through the
+        # package's array rule: either is checked before a row is drawn.
+        doc = {**SPEC_DOC, **top,
+               "components": [{**SPEC_DOC["components"][0], **component}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "data.csv"
+        assert main(["generate", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_spec(self, tmp_path):
         assert main(["generate", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
