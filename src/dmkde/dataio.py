@@ -31,12 +31,13 @@ _TEST_FRAC = 0.3
 _VAL_FRAC = 0.3
 
 
-def _numbers(x) -> np.ndarray:
-    """``x`` as a float64 array; a ragged or non-numeric input is an argument error."""
+def _numbers(x, name: str = "features") -> np.ndarray:
+    """``x``, which errors call ``name``, as a float64 array; a ragged or
+    non-numeric input is an argument error."""
     try:
         return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"expected an array of numbers: {exc}") from None
+        raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def _feature_matrix(x, columns: int | None = None, min_rows: int = 0,
@@ -45,7 +46,7 @@ def _feature_matrix(x, columns: int | None = None, min_rows: int = 0,
     ``columns`` wide when given, at least ``min_rows`` rows, every value
     finite.  An empty sequence is zero rows.  The package's one rule for a
     matrix input with one sample per row, as :func:`_feature_vector` is for one sample."""
-    x = _numbers(x)
+    x = _numbers(x, name)
     if x.shape == (0,):
         x = x.reshape(0, columns or 0)
     if x.ndim != 2 or (columns is not None and x.shape[1] != columns):
@@ -60,7 +61,7 @@ def _feature_matrix(x, columns: int | None = None, min_rows: int = 0,
 
 def _feature_vector(x, columns: int, name: str = "features") -> np.ndarray:
     """One sample, a vector of ``columns`` finite values, as a one-row feature matrix."""
-    x = _numbers(x)
+    x = _numbers(x, name)
     if x.shape != (columns,):
         raise InvalidArgumentError(f"expected a vector of length {columns}, got shape {x.shape}")
     return _feature_matrix(x[np.newaxis], columns, name=name)
@@ -286,11 +287,11 @@ class GaussianComponent:
     count: int
 
     def __post_init__(self):
-        self.mean = _numbers(self.mean)
+        self.mean = _numbers(self.mean, "mean")
         if self.mean.ndim != 1 or self.mean.size < 1:
             raise InvalidArgumentError("component mean must be a 1-D vector")
         d = self.mean.size
-        cov = _numbers(self.cov)
+        cov = _numbers(self.cov, "cov")
         if cov.ndim == 0:
             cov = float(cov) * np.eye(d)
         elif cov.ndim == 1:
@@ -321,7 +322,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.components:
             raise InvalidArgumentError("at least one mixture component is required")
-        self.box_low, self.box_high = _numbers(self.box_low), _numbers(self.box_high)
+        self.box_low = _numbers(self.box_low, "box_low")
+        self.box_high = _numbers(self.box_high, "box_high")
         d = self.components[0].mean.size
         for comp in self.components:
             if comp.mean.size != d:

@@ -37,9 +37,9 @@ _ENTRY_TOL = 1e-12
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
 # _LANES (_for_blocks, _load, _whole_lanes, _pad_lanes).  A block buffer is
 # 1 MiB at D=1024, and a block runs at the GFLOP/s of a 256- or 512-row one.
-# As no row's bits depend on the others, the blocks of embed, score and
-# AFF's phases may run at once, in any order, on the _WORKERS threads of
-# _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient), AFF's
+# As no row's bits depend on the others, the blocks of embed, score, AFF's
+# phases and the sigma grid's distances may run at once, in any order, on
+# the _WORKERS threads of _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient), AFF's
 # Gram tiles and loops too cheap to hand off run in block order on the
 # calling thread, so every result keeps its bits at any worker count.
 _BLOCK = 128
@@ -65,14 +65,18 @@ class DensityMatrix:
         self.sample_count = _count("sample_count", self.sample_count, 1)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidArgumentError(f"matrix must be square, got shape {self.matrix.shape}")
-        if not np.all(np.isfinite(self.matrix)):
+        # max M and min M are NaN when an entry is NaN and infinite when one is
+        # infinite, so they check finiteness and give max |M| with no D x D
+        # temporary.
+        high, low = ((float(self.matrix.max()), float(self.matrix.min())) if self.matrix.size
+                     else (0.0, 0.0))
+        if not (np.isfinite(high) and np.isfinite(low)):
             raise InvalidArgumentError("matrix contains non-finite entries")
         if _max_asymmetry(self.matrix) > _SYMMETRY_TOL:
             raise InvalidArgumentError("matrix is not symmetric")
         if abs(float(np.trace(self.matrix)) - 1.0) > _TRACE_TOL:
             raise InvalidArgumentError("matrix trace must equal 1")
-        # max(max M, -min M) is max |M| without a D x D temporary.
-        if max(self.matrix.max(), -self.matrix.min()) > 1.0 + _ENTRY_TOL:
+        if max(high, -low) > 1.0 + _ENTRY_TOL:
             raise InvalidArgumentError("matrix entries must lie in [-1, 1]")
         # Padded to whole lanes once here, and ``matrix`` is a view of it.
         self._padded = _pad_lanes(self.matrix, 0, 1)

@@ -133,7 +133,7 @@ def compute_threshold(val_densities, anomaly_rate: float) -> float:
     Rate 0 maps to -inf (nothing is anomalous), rate 1 to the maximum.
     The densities are a nonempty vector by the package's one vector rule.
     """
-    values = _numbers(val_densities)
+    values = _numbers(val_densities, "densities")
     values = _feature_vector(values, values.size, "densities")[0]
     if values.size == 0:
         raise InsufficientDataError("need a nonempty 1-D sequence of densities")
@@ -302,12 +302,14 @@ def grid_search(train, val, val_labels, anomaly_rate, configs):
     best_f1 = -1.0
     for cfg in configs:
         model, val_densities = _fit_in_space(space, anomaly_rate, cfg)
-        pred = classify_batch(val_densities, model.theta)
+        theta = model.theta
+        del model  # its density matrix is not held while the next config fits
+        pred = classify_batch(val_densities, theta)
         row = {
             "sigma": cfg.sigma,
             "embed_dim": cfg.embed_dim,
             "use_aff": cfg.use_aff,
-            "theta": model.theta,
+            "theta": theta,
             "f1_weighted": metrics.f1_weighted(val_labels, pred),
             "f1_anomaly": metrics.f1_anomaly(val_labels, pred),
             "accuracy": metrics.accuracy(val_labels, pred),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import _feature_matrix, _feature_vector, _numbers
-from .density import _BLOCK, _CHUNK, _for_blocks, _load, _pad_lanes
+from .density import _BLOCK, _CHUNK, _for_blocks, _load, _pad_lanes, _whole_lanes
 from .errors import DegenerateEmbeddingError, InvalidArgumentError, _count, _positive
 from .rng import (
     _TWO_PI,
@@ -131,7 +131,7 @@ def _phase(rows: np.ndarray, start: int, block: np.ndarray, spare: np.ndarray,
     ``weights_t`` is ``W^T`` padded to whole lanes and ``spare`` a buffer of
     its shape, so every GEMM is ``(_BLOCK, d) @ (d, W)`` by the block rule
     of :mod:`dmkde.density`.  Shared by :func:`_embed_block` and
-    :func:`_gram_kernel`, so it takes bare arrays: training moves
+    :class:`_GramKernel`, so it takes bare arrays: training moves
     ``offsets`` outside [0, 2*pi) mid-run.
     """
     count = _load(block, rows, start)
@@ -215,7 +215,7 @@ def gaussian_kernel(x, y, sigma: float):
     return np.exp(-sq / (2.0 * _positive("sigma", sigma) ** 2))
 
 
-def _gram_kernel(weights, offsets, rows, targets, need_grad):
+class _GramKernel:
     """Kernel-matching MSE (and gradient) over every pair ``i < j`` of ``rows``.
 
     ``targets`` holds the pairs' kernel values in ``np.triu_indices`` order.
@@ -228,48 +228,69 @@ def _gram_kernel(weights, offsets, rows, targets, need_grad):
     ``C C^T`` and ``E C`` are GEMMs of ``_BLOCK``-row blocks by the block
     rule of :mod:`dmkde.density`.  Those products and the gradient's sum
     over blocks run in block order on the calling thread.
+
+    The tables are made once, for the rows and a width of ``embed_dim``,
+    and every call rewrites what it reads: the live rows and columns of
+    ``C`` and the sines, the Gram matrix, and both triangles of ``E``.
+    Their pads and ``E``'s diagonal are never written and stay zero.
     """
-    count, input_dim = rows.shape
-    embed_dim = weights.shape[0]
-    weights_t = _pad_lanes(weights.T, 1)
-    padded = -(-count // _BLOCK) * _BLOCK
-    cos = np.zeros((padded, weights_t.shape[1]))
-    sin = np.zeros_like(cos) if need_grad else None
 
-    def trig_block(start, block, spare):
-        phase = _phase(rows, start, block, spare, weights_t, offsets)
-        live = slice(start, start + phase.shape[0])
-        np.cos(phase, out=cos[live, :embed_dim])
+    def __init__(self, rows, targets, embed_dim, need_grad):
+        self.rows, self.targets, self.need_grad = rows, targets, need_grad
+        padded = -(-rows.shape[0] // _BLOCK) * _BLOCK
+        self.tiles = [slice(start, start + _BLOCK) for start in range(0, padded, _BLOCK)]
+        self.upper = np.triu_indices(rows.shape[0], 1)
+        self.cos = np.zeros((padded, _whole_lanes(embed_dim)))
+        self.gram = np.empty((padded, padded))
         if need_grad:
-            np.sin(phase, out=sin[live, :embed_dim])
+            self.sin = np.zeros_like(self.cos)
+            self.err = np.zeros_like(self.gram)
+            self.block = np.zeros((_BLOCK, rows.shape[1]))
 
-    _for_blocks(count, trig_block, input_dim, weights_t.shape[1])
-    tiles = [slice(start, start + _BLOCK) for start in range(0, padded, _BLOCK)]
-    gram = np.empty((padded, padded))
-    for tile in tiles:
-        np.matmul(cos[tile], cos.T, out=gram[tile])
-    upper = np.triu_indices(count, 1)
-    resid = (2.0 / embed_dim) * gram[upper] - targets
-    n_pairs = resid.shape[0]
-    # Not np.dot: OpenBLAS splits a long ddot over its threads.
-    loss = float(np.sum(resid * resid)) / n_pairs
-    if not need_grad:
-        return loss, None, None
+    def __call__(self, weights, offsets):
+        """``(loss, grad_w, grad_b)`` at ``weights`` and ``offsets``, with
+        ``None`` for the gradients unless ``need_grad``."""
+        rows, cos, gram = self.rows, self.cos, self.gram
+        count, input_dim = rows.shape
+        embed_dim = weights.shape[0]
+        weights_t = _pad_lanes(weights.T, 1)
 
-    err = np.zeros_like(gram)
-    err[upper] = resid
-    err += err.T
-    grad_w = np.zeros((cos.shape[1], input_dim))
-    grad_b = np.zeros(cos.shape[1])
-    block = np.zeros((_BLOCK, input_dim))
-    for tile in tiles:
-        g = err[tile] @ cos
-        g *= sin[tile]
-        _load(block, rows, tile.start)
-        grad_w += g.T @ block
-        grad_b += np.sum(g, axis=0)
-    scale = -4.0 / (n_pairs * embed_dim)
-    return loss, scale * grad_w[:embed_dim], scale * grad_b[:embed_dim]
+        def trig_block(start, block, spare):
+            phase = _phase(rows, start, block, spare, weights_t, offsets)
+            live = slice(start, start + phase.shape[0])
+            np.cos(phase, out=cos[live, :embed_dim])
+            if self.need_grad:
+                np.sin(phase, out=self.sin[live, :embed_dim])
+
+        _for_blocks(count, trig_block, input_dim, weights_t.shape[1])
+        for tile in self.tiles:
+            np.matmul(cos[tile], cos.T, out=gram[tile])
+        resid = (2.0 / embed_dim) * gram[self.upper] - self.targets
+        n_pairs = resid.shape[0]
+        # Not np.dot: OpenBLAS splits a long ddot over its threads.
+        loss = float(np.sum(resid * resid)) / n_pairs
+        if not self.need_grad:
+            return loss, None, None
+
+        err = self.err
+        resid += 0.0  # E = E + E^T from one triangle would turn -0.0 into +0.0
+        err[self.upper] = resid
+        err.T[self.upper] = resid
+        grad_w = np.zeros((cos.shape[1], input_dim))
+        grad_b = np.zeros(cos.shape[1])
+        for tile in self.tiles:
+            g = err[tile] @ cos
+            g *= self.sin[tile]
+            _load(self.block, rows, tile.start)
+            grad_w += g.T @ self.block
+            grad_b += np.sum(g, axis=0)
+        scale = -4.0 / (n_pairs * embed_dim)
+        return loss, scale * grad_w[:embed_dim], scale * grad_b[:embed_dim]
+
+
+def _gram_kernel(weights, offsets, rows, targets, need_grad):
+    """One :class:`_GramKernel` call on tables made for it."""
+    return _GramKernel(rows, targets, weights.shape[0], need_grad)(weights, offsets)
 
 
 def pair_loss(params: EmbeddingParams, lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -342,25 +363,33 @@ def train_aff(init: EmbeddingParams, features: np.ndarray, cfg: AffConfig,
 
     baseline_mse = holdout_mse(init.weights, init.offsets)
     for attempt in range(_MAX_RETRIES + 1):
-        lr = cfg.learning_rate / (2.0 ** attempt)
         params = [init.weights.copy(), init.offsets.copy()]
-        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-        for step in range(1, cfg.epochs + 1):
-            _, *grads = _gram_kernel(*params, train_rows, train_k, True)
-            for param, grad, (mean, square) in zip(params, grads, moments):
-                mean *= _BETA1
-                mean += (1.0 - _BETA1) * grad
-                square *= _BETA2
-                square += (1.0 - _BETA2) * grad * grad
-                param -= (lr / (1.0 - _BETA1 ** step)) * mean / (
-                    np.sqrt(square / (1.0 - _BETA2 ** step)) + _EPSILON)
-            if not all(np.all(np.isfinite(param)) for param in params):
-                break
-        else:
+        # The training tables live for one attempt's epochs: they are freed
+        # before the held-out check makes its own.
+        if _adam(params, _GramKernel(train_rows, train_k, init.embed_dim, True),
+                 cfg.learning_rate / (2.0 ** attempt), cfg.epochs):
             weights, offsets = params[0], _wrap_offsets(params[1])
             if holdout_mse(weights, offsets) <= baseline_mse:
                 return replace(init, weights=weights, offsets=offsets)
     return init
+
+
+def _adam(params: list, loss: _GramKernel, lr: float, epochs: int) -> bool:
+    """Run ``epochs`` full-batch Adam steps on ``params`` in place, with
+    the gradients ``loss`` gives; False as soon as a parameter is not finite."""
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    for step in range(1, epochs + 1):
+        _, *grads = loss(*params)
+        for param, grad, (mean, square) in zip(params, grads, moments):
+            mean *= _BETA1
+            mean += (1.0 - _BETA1) * grad
+            square *= _BETA2
+            square += (1.0 - _BETA2) * grad * grad
+            param -= (lr / (1.0 - _BETA1 ** step)) * mean / (
+                np.sqrt(square / (1.0 - _BETA2 ** step)) + _EPSILON)
+        if not all(np.all(np.isfinite(param)) for param in params):
+            return False
+    return True
 
 
 def _pairwise_sq(features: np.ndarray) -> np.ndarray:
@@ -368,14 +397,32 @@ def _pairwise_sq(features: np.ndarray) -> np.ndarray:
 
     Squared differences are summed one column at a time, in column order,
     so the square roots reproduce ``scipy.spatial.distance.pdist`` bit for
-    bit without importing scipy.
+    bit without importing scipy.  The pairs of each ``_BLOCK``-row block of
+    rows ``i`` are one run of the result, filled by one ``_for_blocks``
+    call: the block's rows against every row after its first make a
+    rectangle whose row for ``i`` holds ``i``'s pairs from its diagonal on.
+    No index table or gathered copy is made.
     """
-    i, j = np.triu_indices(features.shape[0], k=1)
-    total = np.zeros(i.shape[0])
-    for column in features.T:
-        diff = column[i] - column[j]
-        total += diff * diff
-    return total
+    count = features.shape[0]
+    columns = np.ascontiguousarray(features.T)
+    out = np.empty(count * (count - 1) // 2)
+
+    def block_pairs(start, total, square):
+        height = min(_BLOCK, count - start)
+        total, square = (buffer[:height, :count - start - 1] for buffer in (total, square))
+        for k, column in enumerate(columns):
+            term = square if k else total
+            np.subtract(column[start:start + height, np.newaxis], column[start + 1:], out=term)
+            np.multiply(term, term, out=term)
+            if k:
+                total += square
+        for row in range(height):
+            i = start + row
+            first = i * (2 * count - i - 1) // 2
+            out[first:first + count - 1 - i] = total[row, row:]
+
+    _for_blocks(count, block_pairs, count - 1, count - 1)
+    return out
 
 
 def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
@@ -383,13 +430,17 @@ def default_sigma_grid(features: np.ndarray, seed: int = 0) -> list[float]:
 
     Returns ``{2^k * median : k in -2..2}`` computed on a seeded subset
     of at most ``_SIGMA_SUBSET`` (1000) rows.  A zero median (all points
-    equal) falls back to 1.0 so the grid stays usable.
+    equal) falls back to 1.0 so the grid stays usable.  The distances are
+    one vector, rooted and partitioned in place: ``overwrite_input`` runs
+    the partition ``np.median`` runs on a copy, so the median is the same.
     """
+    seed = _count("seed", seed, 0)
     features = _feature_matrix(features, min_rows=2)
     if features.shape[0] > _SIGMA_SUBSET:
         idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(len(features), _SIGMA_SUBSET, replace=False)
         features = features[np.sort(idx)]
-    median = float(np.median(np.sqrt(_pairwise_sq(features))))
+    distances = _pairwise_sq(features)
+    median = float(np.median(np.sqrt(distances, out=distances), overwrite_input=True))
     if median <= 0.0:
         median = 1.0
     return [median * 2.0 ** k for k in range(-2, 3)]

@@ -31,7 +31,7 @@ class ConfusionCounts:
 def _check_labels(y_true, y_pred):
     """Both label vectors by the package's one label rule, ``y_pred`` at
     ``y_true``'s length."""
-    y_true = _numbers(y_true)
+    y_true = _numbers(y_true, "y_true")
     y_true = _label_vector(y_true, y_true.size, "y_true")
     if y_true.size == 0:
         raise InvalidArgumentError("label vectors must be nonempty")

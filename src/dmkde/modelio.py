@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import base64
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .density import DensityFactor, DensityMatrix, _whole_lanes
+from .density import _BLOCK, DensityFactor, DensityMatrix, _whole_lanes
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
 from .errors import ParseError
@@ -74,12 +75,26 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
-def _encode_density(dm: DensityMatrix | DensityFactor) -> tuple[str, str]:
-    """``(form, payload)`` of a serving form."""
-    if isinstance(dm, DensityFactor):
-        return "factor", _encode(dm.factor)
-    # Row i of the triangle is R[i, i:], as _decode_density reads it.
-    return "dense", _encode(np.concatenate([dm.matrix[i, i:] for i in range(dm.embed_dim)]))
+def _density_pieces(dm: DensityMatrix | DensityFactor) -> Iterator[bytes]:
+    """Base64 of a serving form's payload, in pieces that concatenate to it.
+
+    The payload goes ``_BLOCK`` rows at a time: the factor's rows, or the
+    triangle's, row ``i`` being ``R[i, i:]`` as :func:`_decode_density`
+    reads it.  Each piece but the last encodes a whole number of 3-byte
+    groups, with the fewer than 3 values left over carried into the next,
+    so no piece is padded and the pieces are the base64 of the whole.
+    """
+    dim = dm.embed_dim
+    carry = np.empty(0)
+    for start in range(0, dim, _BLOCK):
+        stop = min(start + _BLOCK, dim)
+        rows = ([dm.factor[start:stop].ravel()] if isinstance(dm, DensityFactor)
+                else [dm.matrix[i, i:] for i in range(start, stop)])
+        values = np.concatenate([carry, *rows], dtype="<f8")
+        whole = values.size - values.size % 3
+        carry = values[whole:].copy()
+        yield base64.b64encode(values[:whole])
+    yield base64.b64encode(carry)
 
 
 def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
@@ -110,8 +125,8 @@ def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
     return DensityMatrix(matrix, n)
 
 
-def model_to_document(model: DetectorModel) -> dict:
-    form, density = _encode_density(model.dm)
+def _document(model: DetectorModel, density: str) -> dict:
+    """The model's document, with ``density`` as its last field's text."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -126,10 +141,14 @@ def model_to_document(model: DetectorModel) -> dict:
         "scale": _encode(model.scale),
         "weights": _encode(model.embedding.weights),
         "offsets": _encode(model.embedding.offsets),
-        "form": form,
+        "form": "factor" if isinstance(model.dm, DensityFactor) else "dense",
         "sketch_bound": model.sketch_bound,
         "density": density,
     }
+
+
+def model_to_document(model: DetectorModel) -> dict:
+    return _document(model, b"".join(_density_pieces(model.dm)).decode("ascii"))
 
 
 def model_from_document(doc: dict) -> DetectorModel:
@@ -170,7 +189,15 @@ def model_from_document(doc: dict) -> DetectorModel:
 
 
 def save_model(model: DetectorModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_document(model)) + "\n", encoding="utf-8")
+    """Write ``json.dumps(model_to_document(model))`` and a newline to
+    ``path``, with the density payload streamed piece by piece: base64
+    needs no JSON escape, so the file is that text byte for byte, and no
+    whole copy of the payload is held."""
+    head = json.dumps(_document(model, "")).encode("ascii")
+    with open(path, "wb") as out:
+        out.write(head[:-len(b'"}')])  # up to the payload's opening quote
+        out.writelines(_density_pieces(model.dm))  # drops each piece once written
+        out.write(b'"}\n')
 
 
 def load_model(path) -> DetectorModel:

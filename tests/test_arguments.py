@@ -18,6 +18,7 @@ from dmkde import (
     SyntheticSpec,
     compute_threshold,
     confusion,
+    default_sigma_grid,
     fit,
     gaussian_kernel,
     kde_exact_batch,
@@ -50,6 +51,7 @@ COUNTS = {
     "SyntheticSpec.anomaly_count": (0, lambda v: SyntheticSpec(
         [GaussianComponent([0.0], 1.0, 2)], v, [-1.0], [1.0]).anomaly_count),
     "stream.seed": (0, lambda v: stream(v, 0).random()),
+    "default_sigma_grid.seed": (0, lambda v: default_sigma_grid(_TRAIN[:5], v)[2]),
 }
 REALS = {
     "EmbeddingParams.sigma": lambda v: EmbeddingParams(

@@ -39,6 +39,7 @@ from dmkde import (
 from dmkde import density
 from dmkde.cli import EXIT_OK, main
 from dmkde.density import _BLOCK, DensityFactor, _for_blocks, sketch_density_matrix
+from dmkde.embedding import _pairwise_sq
 from tests.conftest import random_unit_vectors
 
 WORKER_COUNTS = (1, 2, 3)
@@ -103,6 +104,12 @@ class TestSameBitsAtAnyWorkerCount:
             return [dm.factor if dm is not None else np.empty(0), np.float64(beta)]
 
         assert_same_bits(at_each_count(sketch))
+
+    @settings(max_examples=8, deadline=None)
+    @given(rows=st.sampled_from(ROW_COUNTS[3:]), seed=st.integers(0, 2**32 - 1))
+    def test_sigma_grid_distances(self, rows, seed):
+        x = np.random.default_rng(seed).normal(size=(rows, 3))
+        assert_same_bits(at_each_count(lambda: [_pairwise_sq(x)]))
 
     @settings(max_examples=8, deadline=None)
     @given(rows=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2**32 - 1))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,19 @@ class TestGenerate:
         out = tmp_path / "data.csv"
         assert main(["generate", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("component,top,field", [
+        ({"mean": "abc"}, {}, "mean"), ({"mean": [-3.0, [0.0]]}, {}, "mean"),
+        ({"cov": "x"}, {}, "cov"), ({}, {"box_low": "x"}, "box_low"),
+        ({}, {"box_high": [9.0, "y"]}, "box_high"),
+    ])
+    def test_bad_spec_array_error_names_the_field(self, tmp_path, capsys, component, top, field):
+        doc = {**SPEC_DOC, **top,
+               "components": [{**SPEC_DOC["components"][0], **component}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", str(bad), "--out", str(tmp_path / "data.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field} must be an array of numbers: ")
 
     def test_missing_spec(self, tmp_path):
         assert main(["generate", str(tmp_path / "no.json"),
@@ -289,6 +303,53 @@ class TestFit:
         truth = np.array([int(r[3]) for r in parsed])
         report = json.loads(report_path.read_text())
         assert report["metrics"]["f1_weighted"] == pytest.approx(f1_weighted(truth, labels))
+
+    def test_peak_rss_is_phi_and_r_above_the_baseline(self, tmp_path):
+        # Fixed before measuring: a dense fit holds Phi (n x D) and R (D x D)
+        # over what a process that imports the CLI and parses the CSV holds,
+        # plus one BLAS packing buffer and block buffers, so its peak stays
+        # below that baseline plus 1.5 (Phi + R).  At D = 2048 with about
+        # D/2 training rows a save through the whole document added 2.33 R
+        # after the fit, and the grid's index tables stayed resident.
+        dim = 2048
+        spec = {"components": [{"mean": [-2.0] + [0.0] * 7, "count": 1000},
+                               {"mean": [2.0, 1.0] + [0.0] * 6, "cov": 1.5, "count": 1000}],
+                "anomaly_count": 100, "box_low": [-10.0] * 8, "box_high": [10.0] * 8,
+                "exclusion_radius": 6.0}
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        data, model = str(tmp_path / "bulk.csv"), tmp_path / "model.json"
+        assert main(["generate", str(tmp_path / "spec.json"), "--out", data]) == EXIT_OK
+        config = small_config(tmp_path).read_text().replace("embed_dim = 64", f"embed_dim = {dim}")
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        baseline = peak_rss(["-c", "import sys, dmkde.cli; dmkde.cli.load_csv(sys.argv[1])", data],
+                            tmp_path)
+        fitted = peak_rss(["-m", "dmkde.cli", "fit", data, "--out", str(model),
+                           "--config", str(tmp_path / "run.cfg")], tmp_path)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert doc["form"] == "dense"
+        phi, r = 8 * doc["sample_count"] * dim, 8 * dim * dim
+        assert fitted < baseline + 1.5 * (phi + r)
+
+
+def peak_rss(args: list[str], tmp_path) -> int:
+    """Peak resident bytes (ru_maxrss) of ``python args``, run with this
+    package on its path; the child must exit 0 within two minutes."""
+    src = str(Path(dmkde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    with open(tmp_path / "child.err", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL,
+                                stderr=err)
+        watchdog = threading.Timer(120, proc.kill)
+        watchdog.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        finally:
+            watchdog.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read().decode(errors="replace")
+    return usage.ru_maxrss * 1024  # KiB on Linux
 
 
 class TestEval:

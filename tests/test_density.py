@@ -416,6 +416,34 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError, match=r"lie in \[-1, 1\]"):
             DensityMatrix(np.array([[0.5, off_diagonal], [off_diagonal, 0.5]]), 1)
 
+    # An asymmetric entry too, so the error shows the non-finite check runs first.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 2), (2, 1)])
+    def test_rejects_non_finite_before_asymmetry(self, bad, row, col):
+        matrix = np.eye(3) / 3
+        matrix[0, 1] = 0.2
+        matrix[row, col] = bad
+        with pytest.raises(InvalidArgumentError, match="^matrix contains non-finite entries$"):
+            DensityMatrix(matrix, 1)
+
+    def test_empty_matrix_fails_the_trace_check(self):
+        with pytest.raises(InvalidArgumentError, match="^matrix trace must equal 1$"):
+            DensityMatrix(np.zeros((0, 0)), 1)
+
+    def test_validation_makes_no_d_by_d_temporary(self):
+        # What validation must hold: four 128 KiB _BLOCK-square tiles, where a
+        # D x D isfinite mask alone was 0.125 x 8 D^2 at D = 1024.
+        dim = 1024
+        matrix = build_density_matrix(random_unit_vectors(np.random.default_rng(2), 300, dim)).matrix
+        matrix = matrix.copy()
+        tracemalloc.start()
+        try:
+            DensityMatrix(matrix, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _BLOCK * _BLOCK
+
     # D=300 leaves a partial last tile in the blocked symmetry check.
     # (row, col) pairs in the first tile, in a tile off the diagonal and in
     # the last, partial tile.

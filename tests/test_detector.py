@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -361,6 +362,24 @@ class TestGridSearch:
             grid_search(train, val, labels, rate, configs)
         assert search_fits == []
 
+    def test_holds_one_density_matrix_at_a_time(self):
+        # What a search must hold: a dense fit holds Phi (n/D = 1.17 x R) and
+        # R, plus block buffers, so two dense configs should peak near
+        # 2.2 x 8 D^2 and stay below 2.5; holding the first config's model
+        # through the second fit peaked at 3.31.
+        dim, n = 1024, 1200
+        rng = np.random.default_rng(8)
+        train, val = rng.normal(size=(n, 2)), rng.normal(size=(300, 2))
+        labels = (np.arange(300) % 10 == 0).astype(np.int64)
+        configs = grid([0.05, 0.1], [dim])
+        tracemalloc.start()
+        try:
+            _, report = grid_search(train, val, labels, 0.1, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report) == 2
+        assert peak < 2.5 * 8 * dim * dim
 
 class TestSearchInOneSpace:
     """The search standardizes once; each row is still the independent fit."""

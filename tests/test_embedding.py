@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,16 +22,20 @@ from dmkde import (
     stratified_split,
     train_aff,
 )
+from dmkde import density
 from dmkde.embedding import (
     _BLOCK,
     _HOLDOUT_PAIRS,
+    _SIGMA_SUBSET,
     EmbeddingParams,
     _aff_rows,
     _gram_kernel,
+    _GramKernel,
     _normalize_rows,
     _pairwise_sq,
     _rows_for,
 )
+from dmkde.rng import DOMAIN_SIGMA_SUBSET, stream
 from tests.conftest import two_cluster_spec
 
 TWO_PI = 2.0 * np.pi
@@ -379,6 +385,23 @@ class TestPairKernel:
             assert np.max(np.abs(value - expected)) <= 1e-12 * scale
         assert _gram_kernel(w, b, rows, targets, False)[0] == gram[0]
 
+    # D = 20 pads its tables to 24 columns; _BLOCK + 1 rows to two blocks.
+    @pytest.mark.parametrize("m", [2, _BLOCK + 1])
+    @pytest.mark.parametrize("need_grad", [True, False])
+    def test_reused_tables_give_the_bits_of_new_ones(self, m, need_grad):
+        # train_aff makes the tables once per attempt and calls them every epoch.
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(m, 2))
+        i, j = np.triu_indices(m, 1)
+        targets = gaussian_kernel(rows[i], rows[j], 1.0)
+        kernel = _GramKernel(rows, targets, 20, need_grad)
+        for seed in range(3):
+            params = sample_rff_params(2, 20, 0.5 + seed, seed)
+            reused = kernel(params.weights, params.offsets)
+            new = _gram_kernel(params.weights, params.offsets, rows, targets, need_grad)
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                       for a, b in zip(reused, new))
+
 
 class TestPairLoss:
     @pytest.mark.parametrize("lhs, rhs, error, message", [
@@ -416,3 +439,46 @@ class TestSigmaGrid:
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             default_sigma_grid(np.zeros((1, 2)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 1500), d=st.integers(1, 10), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, d=1, ties=False, seed=0)
+    @example(n=_SIGMA_SUBSET, d=8, ties=False, seed=1)
+    @example(n=1500, d=8, ties=True, seed=2)
+    @example(n=10, d=3, ties=True, seed=3)  # all rows may coincide: the fallback
+    def test_grid_equals_index_table_formula(self, n, d, ties, seed):
+        # The formula the grid used before it filled its distances block by
+        # block: np.triu_indices gathers, then np.median of a sqrt copy.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2, size=(n, d)) * 1.0 if ties else rng.normal(size=(n, d)) * 3.0
+        rows = x
+        if n > _SIGMA_SUBSET:
+            idx = stream(seed, DOMAIN_SIGMA_SUBSET).choice(n, _SIGMA_SUBSET, replace=False)
+            rows = x[np.sort(idx)]
+        i, j = np.triu_indices(rows.shape[0], k=1)
+        total = np.zeros(i.shape[0])
+        for column in rows.T:
+            diff = column[i] - column[j]
+            total += diff * diff
+        median = float(np.median(np.sqrt(total)))
+        median = median if median > 0.0 else 1.0
+        expected = [median * 2.0 ** k for k in range(-2, 3)]
+        assert np.array(default_sigma_grid(x, seed)).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_grid_holds_one_distance_vector(self, monkeypatch, count):
+        # What the grid must hold: the pair vector, two (_BLOCK, n - 1)
+        # rectangles per worker, and a quarter of the vector for the rest.
+        # The index-table formula peaked at 6.0 x the vector.
+        monkeypatch.setattr(density, "_WORKERS", count)
+        monkeypatch.setattr(density, "_HANDOFF_BLOCKS", 1)
+        n = _SIGMA_SUBSET
+        x = np.random.default_rng(4).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            default_sigma_grid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * (n - 1) // 2 + count * 2 * 8 * _BLOCK * (n - 1)

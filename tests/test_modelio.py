@@ -121,6 +121,24 @@ class TestFormats:
         assert peak < 2.5 * 8 * dim * dim
         assert np.array_equal(back.dm.matrix, dm.matrix)
 
+    def test_dense_save_holds_no_copy_of_r(self, tmp_path):
+        # What a save must hold: one _BLOCK-row piece of the triangle and its
+        # base64 (0.29 x 8 D^2 at D = 1024), beside the small fields.  Saving
+        # through the whole document peaked at 2.34.
+        dim = 1024
+        phis = stream(4, 99).normal(size=(300, dim))
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        model = DetectorModel(sample_rff_params(8, dim, 1.0, 4), build_density_matrix(phis),
+                              0.1, 0.05, False, None, None, None)
+        del phis
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "model.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * dim * dim
+
     def test_fallback_bound_round_trips_with_dense_form(self):
         # A narrow kernel gives R a rank near n = 200 > k: the sketch's
         # bound is too large to serve it.
@@ -283,3 +301,25 @@ class TestFiles:
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["format"] == "dmkde-model"
         assert doc["version"] == 2
+
+    # Triangles of 1 to 3 values end on each remainder mod 3 of a base64
+    # group; 130 and 300 rows span two and three pieces.
+    @pytest.mark.parametrize("dim", [1, 2, 3, 37, 130, 300])
+    def test_streamed_file_is_the_document_text(self, tmp_path, dim):
+        phis = stream(dim, 99).normal(size=(dim + 5, dim))
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        model = DetectorModel(sample_rff_params(3, dim, 1.0, 1), build_density_matrix(phis),
+                              0.1, 0.05, False, None, None, None)
+        triangle = np.concatenate([model.dm.matrix[i, i:] for i in range(dim)])
+        self.check_streamed(tmp_path, model, _encode(triangle))
+
+    def test_streamed_factor_file_is_the_document_text(self, tmp_path):
+        model = make_factor_model(embed_dim=300)
+        self.check_streamed(tmp_path, model, _encode(model.dm.factor))
+
+    @staticmethod
+    def check_streamed(tmp_path, model, payload):
+        doc = model_to_document(model)
+        assert doc["density"] == payload
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (json.dumps(doc) + "\n").encode()
