@@ -33,9 +33,13 @@ _VAL_FRAC = 0.3
 
 def _numbers(x, name: str = "features") -> np.ndarray:
     """``x``, which errors call ``name``, as a float64 array; a ragged or
-    non-numeric input is an argument error."""
+    non-numeric input is an argument error, and so is a ``str`` or ``bytes``
+    anywhere in it, which ``float`` would parse."""
     try:
-        return np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if x.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in x.flat):
+            raise TypeError("a string is not a number")
+        return x.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from None
 
@@ -117,30 +121,33 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
     ``label_column`` selects the label by header name; by default the
     last column is used.  Rows are reported 1-based counting the header
     as row 1.  A file without quotes, NULs, blank or overlong lines is
-    split at its commas (:func:`_split_plain`) and its body converted in
-    one pass (:func:`_fast_table`); any other file, or a body that pass
-    declines, goes through ``csv`` and the per-cell parser, which names the
-    fault.
+    split at its commas (:func:`_split_plain`), any other file by ``csv``;
+    either way the body is converted in one pass (:func:`_fast_table`).
+    Only when that pass declines does :func:`_raise_first_fault` walk the
+    cells, to name the first fault.  A file that cannot be read, is not
+    UTF-8, or has a field over ``csv``'s limit is a ``ParseError`` too.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    plain = _split_plain(text)
-    rows = plain if plain is not None else list(csv.reader(text.splitlines()))
+    rows = _split_plain(text)
+    if rows is None:
+        reader = csv.reader(text.splitlines())
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if label_column is None:
-        label_idx = len(header) - 1
-    else:
-        if label_column not in header:
-            raise ParseError(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-    table = _fast_table(rows, label_idx) if plain is not None else None
+    if label_column is not None and label_column not in header:
+        raise ParseError(f"{path}: no column named {label_column!r} in header")
+    label_idx = len(header) - 1 if label_column is None else header.index(label_column)
+    table = _fast_table(rows, label_idx)
     if table is None:
-        return _parse_cells(path, rows, header, label_idx)
+        _raise_first_fault(path, rows, header, label_idx)
     return LabeledDataset(np.delete(table, label_idx, axis=1),
                           table[:, label_idx], name=path.stem)
 
@@ -157,10 +164,10 @@ def _split_plain(text: str) -> list[list[str]] | None:
 
 
 def _fast_table(rows: list[list[str]], label_idx: int) -> np.ndarray | None:
-    """The data rows as one float array, or ``None`` when the per-cell parser
-    could reject them: a ragged row, a cell ``float`` rejects, a non-finite
-    value or a label outside {0, 1}.  Each cell goes through ``float``, as
-    there, so the values are the same bits."""
+    """The data rows as one float array, each cell through ``float``, or
+    ``None`` when :func:`_raise_first_fault` would reject them: no rows, a
+    ragged row, a cell ``float`` rejects, a non-finite value or a label
+    outside {0, 1}."""
     body = rows[1:]
     width = len(rows[0])
     if not body or any(len(row) != width for row in body):
@@ -176,17 +183,14 @@ def _fast_table(rows: list[list[str]], label_idx: int) -> np.ndarray | None:
     return table
 
 
-def _parse_cells(path: Path, rows: list[list[str]], header: list[str],
-                 label_idx: int) -> LabeledDataset:
-    """The data rows parsed cell by cell; the first bad cell or row raises
-    ``ParseError`` with its row and column."""
-    features: list[list[float]] = []
-    labels: list[int] = []
+def _raise_first_fault(path: Path, rows: list[list[str]], header: list[str],
+                       label_idx: int) -> None:
+    """Raise ``ParseError`` for the first bad row or cell of the data rows,
+    with its row and column, or for their absence."""
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: ragged row has {len(row)} cells, expected {len(header)}",
                              row=line_no)
-        feat_row = []
         for col_idx, cell in enumerate(row):
             try:
                 value = float(cell)
@@ -196,17 +200,10 @@ def _parse_cells(path: Path, rows: list[list[str]], header: list[str],
             if not math.isfinite(value):
                 raise ParseError(f"{path}: non-finite cell {cell!r}",
                                  row=line_no, column=header[col_idx])
-            if col_idx == label_idx:
-                if value not in (0.0, 1.0):
-                    raise ParseError(f"{path}: label {cell!r} not in {{0, 1}}",
-                                     row=line_no, column=header[col_idx])
-                labels.append(int(value))
-            else:
-                feat_row.append(value)
-        features.append(feat_row)
-    if not features:
-        raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(features, dtype=np.float64), labels, name=path.stem)
+            if col_idx == label_idx and value not in (0.0, 1.0):
+                raise ParseError(f"{path}: label {cell!r} not in {{0, 1}}",
+                                 row=line_no, column=header[col_idx])
+    raise ParseError(f"{path}: no data rows")
 
 
 def save_csv(ds: LabeledDataset, path) -> None:

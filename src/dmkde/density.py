@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _feature_matrix, _feature_vector
+from .dataio import _feature_matrix, _feature_vector, _numbers
 from .errors import InvalidArgumentError, _count
 from .rng import DOMAIN_NYSTROM, standard_normal, stream
 
@@ -61,7 +61,7 @@ class DensityMatrix:
     sample_count: int
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = _numbers(self.matrix, "matrix")
         self.sample_count = _count("sample_count", self.sample_count, 1)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidArgumentError(f"matrix must be square, got shape {self.matrix.shape}")
@@ -100,7 +100,7 @@ class DensityFactor:
     sample_count: int
 
     def __post_init__(self):
-        self.factor = np.asarray(self.factor, dtype=np.float64)
+        self.factor = _numbers(self.factor, "factor")
         self.sample_count = _count("sample_count", self.sample_count, 1)
         if self.factor.ndim != 2 or not 1 <= self.factor.shape[1] <= self.factor.shape[0]:
             raise InvalidArgumentError(f"factor must be D x k with k <= D, got {self.factor.shape}")

@@ -102,8 +102,8 @@ class DetectorModel:
         if (self.shift is None) != (self.scale is None):
             raise InvalidArgumentError("shift and scale must be given together")
         if self.shift is not None:
-            self.shift = np.asarray(self.shift, dtype=np.float64)
-            self.scale = np.asarray(self.scale, dtype=np.float64)
+            self.shift = _numbers(self.shift, "shift")
+            self.scale = _numbers(self.scale, "scale")
             d = self.embedding.input_dim
             if self.shift.shape != (d,) or self.scale.shape != (d,):
                 raise InvalidArgumentError("standardization vectors must have length input_dim")

@@ -61,8 +61,8 @@ class EmbeddingParams:
     embed_dim: int
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
+        self.weights = _numbers(self.weights, "weights")
+        self.offsets = _numbers(self.offsets, "offsets")
         self.sigma = _positive("sigma", self.sigma)
         self.input_dim = _count("input_dim", self.input_dim, 1)
         self.embed_dim = _count("embed_dim", self.embed_dim, 1)

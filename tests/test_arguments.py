@@ -1,6 +1,9 @@
 """Every public scalar parameter is checked by one of the package's three
-scalar rules (a count, a positive finite real, a rate in [0, 1]), and every
-array rule names what it checked."""
+scalar rules (a count, a positive finite real, a rate in [0, 1]), every
+array parameter by its array rule, and every array rule names what it
+checked."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from dmkde import (
     InvalidArgumentError,
     LabeledDataset,
     SyntheticSpec,
+    apply_standardizer,
     compute_threshold,
     confusion,
     default_sigma_grid,
+    embed,
     fit,
     gaussian_kernel,
     kde_exact_batch,
@@ -112,6 +117,88 @@ def test_equal_values_give_equal_python_results(call, field, value):
 def test_gaussian_kernel_rejects_the_bad_sigmas_kde_rejects(sigma):
     with pytest.raises(InvalidArgumentError, match="^sigma "):
         gaussian_kernel(np.zeros((3, 2)), np.zeros((3, 2)), sigma)
+
+
+# Field -> (a valid array for it, call that passes an array for it and
+# returns what it became, or a result that depends on it).  Every value is a
+# binary fraction, so it has the same value as a Fraction or float32.
+_DM = DensityMatrix(np.eye(3) / 3, 1)
+ARRAYS = {
+    "LabeledDataset.features": ([[1.5], [0.5]], lambda v: LabeledDataset(v, [0, 1]).features),
+    "LabeledDataset.labels": ([1, 0], lambda v: LabeledDataset([[1.5], [0.5]], v).labels),
+    "confusion.y_true": ([0, 1], lambda v: confusion(v, [1, 1])),
+    "confusion.y_pred": ([0, 1], lambda v: confusion([1, 1], v)),
+    "compute_threshold.densities": ([0.5, 2.0, 1.5], lambda v: compute_threshold(v, 0.5)),
+    "embed.features": ([0.5, -2.0], lambda v: embed(_PARAMS, v)),
+    "gaussian_kernel.features": ([0.5, -2.0], lambda v: gaussian_kernel(v, [1.0, 0.0], 1.0)),
+    "apply_standardizer.features": ([[0.5, 1.0]], lambda v: apply_standardizer(
+        v, [0.0, 0.0], [1.0, 1.0])),
+    "apply_standardizer.shift": ([0.5, 1.0], lambda v: apply_standardizer(
+        [[0.0, 0.0]], v, [1.0, 1.0])),
+    "apply_standardizer.scale": ([0.5, 1.0], lambda v: apply_standardizer(
+        [[1.0, 1.0]], [0.0, 0.0], v)),
+    "GaussianComponent.mean": ([0.5, -1.0], lambda v: GaussianComponent(v, 1.0, 2).mean),
+    "GaussianComponent.cov": ([2.0, 0.5], lambda v: GaussianComponent([0.0, 0.0], v, 2).cov),
+    "SyntheticSpec.box_low": ([-1.0], lambda v: SyntheticSpec(
+        [GaussianComponent([0.0], 1.0, 2)], 1, v, [1.0]).box_low),
+    "SyntheticSpec.box_high": ([1.0], lambda v: SyntheticSpec(
+        [GaussianComponent([0.0], 1.0, 2)], 1, [-1.0], v).box_high),
+    "EmbeddingParams.weights": ([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], lambda v: EmbeddingParams(
+        v, np.zeros(3), 1.0, 2, 3).weights),
+    "EmbeddingParams.offsets": ([0.0, 1.0, 0.5], lambda v: EmbeddingParams(
+        np.zeros((3, 2)), v, 1.0, 2, 3).offsets),
+    "DensityMatrix.matrix": ([[0.5, 0.0], [0.0, 0.5]], lambda v: DensityMatrix(v, 1).matrix),
+    "DensityFactor.factor": ([[1.0], [0.0]], lambda v: DensityFactor(v, 1).factor),
+    "DetectorModel.shift": ([0.5, 1.0], lambda v: DetectorModel(
+        _PARAMS, _DM, 0.5, 0.1, shift=v, scale=[1.0, 1.0]).shift),
+    "DetectorModel.scale": ([0.5, 1.0], lambda v: DetectorModel(
+        _PARAMS, _DM, 0.5, 0.1, shift=[0.0, 0.0], scale=v).scale),
+}
+
+
+def _map_first(value, change):
+    """``value`` with its first number (depth first) replaced by ``change`` of it."""
+    if isinstance(value, list):
+        return [_map_first(value[0], change)] + value[1:]
+    return change(value)
+
+
+def _map_all(value, change):
+    return [_map_all(v, change) for v in value] if isinstance(value, list) else change(value)
+
+
+_TEXT = {  # an array with one number written as text, which float() would parse
+    "str": lambda v: _map_first(v, str),
+    "bytes": lambda v: _map_first(v, lambda x: str(x).encode()),
+    "object array": lambda v: np.array(_map_first(v, str), dtype=object),
+    "numpy str array": lambda v: np.array(_map_all(v, str)),
+}
+
+
+@pytest.mark.parametrize("call,field,value", [
+    pytest.param(call, site.split(".")[1], make(valid), id=f"{site}={kind}")
+    for site, (valid, call) in ARRAYS.items() for kind, make in _TEXT.items()])
+def test_text_in_an_array_is_an_argument_error_naming_the_field(call, field, value):
+    with pytest.raises(InvalidArgumentError, match=rf"^{field} must be an array of numbers: "):
+        call(value)
+
+
+@pytest.mark.parametrize("valid,call", [pytest.param(*ARRAYS[site], id=site) for site in ARRAYS])
+def test_equal_numbers_in_an_array_give_equal_results(valid, call):
+    # Fractions, numpy scalars, whole numbers and bools count as the numbers they equal.
+    expected = call(valid)
+    leaves = np.ravel(valid)
+    kinds = [Fraction, np.float64, np.float32]
+    if all(float(v).is_integer() for v in leaves):
+        kinds += [int, np.int64]
+    if all(v in (0, 1) for v in leaves):
+        kinds.append(bool)
+    for kind in kinds:
+        result = call(_map_all(valid, kind))
+        if isinstance(expected, np.ndarray):
+            assert result.dtype == expected.dtype and np.array_equal(result, expected), kind
+        else:
+            assert result == expected, kind
 
 
 class TestArrayRulesNameTheirInput:

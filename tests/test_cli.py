@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import re
@@ -102,6 +103,8 @@ class TestGenerate:
         ({"mean": "abc"}, {}, "mean"), ({"mean": [-3.0, [0.0]]}, {}, "mean"),
         ({"cov": "x"}, {}, "cov"), ({}, {"box_low": "x"}, "box_low"),
         ({}, {"box_high": [9.0, "y"]}, "box_high"),
+        ({"mean": ["-3.0", "0.0"]}, {}, "mean"), ({"cov": "0.5"}, {}, "cov"),
+        ({}, {"box_low": ["-9", -9.0]}, "box_low"),
     ])
     def test_bad_spec_array_error_names_the_field(self, tmp_path, capsys, component, top, field):
         doc = {**SPEC_DOC, **top,
@@ -352,14 +355,15 @@ def peak_rss(args: list[str], tmp_path) -> int:
     return usage.ru_maxrss * 1024  # KiB on Linux
 
 
-class TestEval:
-    @pytest.fixture()
-    def fitted(self, tmp_path, dataset_path):
-        model_path = tmp_path / "model.json"
-        main(["fit", str(dataset_path), "--out", str(model_path),
-              "--config", str(small_config(tmp_path)), "--seed", "1"])
-        return model_path
+@pytest.fixture()
+def fitted(tmp_path, dataset_path):
+    model_path = tmp_path / "model.json"
+    main(["fit", str(dataset_path), "--out", str(model_path),
+          "--config", str(small_config(tmp_path)), "--seed", "1"])
+    return model_path
 
+
+class TestEval:
     def test_report_deterministic(self, tmp_path, dataset_path, fitted):
         outs = []
         for tag in ("a", "b"):
@@ -495,6 +499,25 @@ class TestPredict:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,density,label,truth"
         assert len(lines) == 1 + 525
+
+    def test_field_over_the_csv_limit_is_parse_error(self, tmp_path, fitted, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("a,b,label\n1,2,0\n" + "3" * (csv.field_size_limit() + 1) + ",4,1\n",
+                        encoding="utf-8")
+        assert main(["predict", str(data), "--model", str(fitted),
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: field larger than field limit") and "(row 3)" in err
+
+    @pytest.mark.parametrize("bad", ["data", "model"])
+    def test_file_not_utf8_is_parse_error(self, tmp_path, dataset_path, fitted, capsys, bad):
+        files = {"data": dataset_path, "model": fitted}
+        broken = tmp_path / f"latin1_{files[bad].name}"
+        broken.write_bytes(b"\xe9" + files[bad].read_bytes())
+        files[bad] = broken
+        assert main(["predict", str(files["data"]), "--model", str(files["model"]),
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {broken}: 'utf-8' codec")
 
 
 def test_success_writes_nothing_to_stderr(tmp_path, dataset_path, capsys):

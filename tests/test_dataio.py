@@ -1,3 +1,5 @@
+import csv
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -113,8 +115,8 @@ class TestLoadCsv:
 
 def _load_both(text):
     """``load_csv`` of ``text`` as it runs and with the plain split declined,
-    so that ``csv`` and the per-cell parser read every row: each outcome is
-    the dataset's bytes or the ``ParseError``'s message, row and column."""
+    so that ``csv`` splits every row: each outcome is the dataset's bytes or
+    the ``ParseError``'s message, row and column."""
     def outcome():
         try:
             ds = load_csv(path)
@@ -181,21 +183,81 @@ class TestCsvFastPath:
         fast, cells = _load_both(text)
         assert fast == cells
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=_csv_texts())
+    @example(text='a,label\n"1.5",0\n')
+    @example(text="a,label\n1,0\n\n2,1\n")
+    def test_one_pass_table_is_float_of_each_cell(self, text):
+        # The reference converts cell by cell and declines where the fault
+        # walk would raise; both splitters' rows must give its bits.
+        def per_cell(rows):
+            body, width = rows[1:], len(rows[0])
+            if not body or any(len(row) != width for row in body):
+                return None
+            try:
+                table = [[float(cell) for cell in row] for row in body]
+            except ValueError:
+                return None
+            if not all(math.isfinite(v) for row in table for v in row) or any(
+                    row[-1] not in (0.0, 1.0) for row in table):
+                return None
+            return np.array(table, dtype=np.float64)
+
+        for rows in (dataio._split_plain(text), list(csv.reader(text.splitlines()))):
+            if rows is None:
+                continue
+            fast, expected = dataio._fast_table(rows, len(rows[0]) - 1), per_cell(rows)
+            assert (fast is None) == (expected is None)
+            if fast is not None:
+                assert fast.shape == expected.shape and fast.tobytes() == expected.tobytes()
+
     def test_clean_file_never_reaches_the_per_cell_parser(self, tmp_path, monkeypatch):
         def refuse(*args):
-            raise AssertionError("per-cell parser ran")
+            raise AssertionError("fault walk ran")
 
         path = tmp_path / "clean.csv"
         ds = generate_synthetic(two_cluster_spec(), seed=3)
         save_csv(ds, path)
-        monkeypatch.setattr(dataio, "_parse_cells", refuse)
-        back = load_csv(path)
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.labels, ds.labels)
+        monkeypatch.setattr(dataio, "_raise_first_fault", refuse)
+        quoted = tmp_path / "quoted.csv"
+        with quoted.open("w", newline="", encoding="utf-8") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(
+                csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        assert '"' in quoted.read_text(encoding="utf-8")
+        for copy in (path, quoted):
+            back = load_csv(copy)
+            assert back.features.tobytes() == ds.features.tobytes()
+            assert back.labels.tobytes() == ds.labels.tobytes()
         path.write_text("a, b ,label\r\n-0.0, 1e-320,1.0\r\n7,1_0,-0\r\n", encoding="utf-8")
         back = load_csv(path, label_column="label")
         assert back.features.tolist() == [[-0.0, 1e-320], [7.0, 10.0]]
         assert back.labels.tolist() == [1, 0]
+
+
+    def test_csv_error_is_a_parse_error_with_its_row(self, tmp_path, monkeypatch):
+        # Before Python 3.11, csv.reader raises on a line holding a NUL; the
+        # row it counted is the one reported.
+        real_reader = csv.reader
+
+        class NulRejectingReader:
+            def __init__(self, lines):
+                self.lines, self.line_num = iter(lines), 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                line = next(self.lines)
+                self.line_num += 1
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                return next(real_reader([line]))
+
+        monkeypatch.setattr(dataio.csv, "reader", NulRejectingReader)
+        path = write(tmp_path, "a,label\n1,0\n\x002,1\n")
+        with pytest.raises(ParseError, match="line contains NUL") as exc:
+            load_csv(path)
+        assert exc.value.row == 3 and exc.value.column is None
 
 
 class TestSaveLoadRoundTrip:
