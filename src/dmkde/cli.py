@@ -23,6 +23,8 @@ from .dataio import (
     LabeledDataset,
     SplitIndices,
     SyntheticSpec,
+    _read_json,
+    _read_text,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -105,12 +107,9 @@ def _parse_bool(raw: str) -> bool:
 def read_config(path) -> dict:
     """Flat key-value config: one ``key = value`` per line, # comments."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    lines = _read_text(path, ConfigError, "config ").splitlines()
     values: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -371,12 +370,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from exc
+    doc = _read_json(args.spec, ConfigError, "spec ")
     try:
         spec = SyntheticSpec.from_dict(doc)
         ds = generate_synthetic(spec, args.seed if args.seed is not None else 0)

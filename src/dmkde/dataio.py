@@ -9,6 +9,7 @@ non-numeric cells are rejected with the offending row and column named.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -115,6 +116,25 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _read_text(path, error: type[Exception], what: str = "") -> str:
+    """The UTF-8 text of a data, model, config or spec file: the one reader.
+    A file it cannot read or decode raises ``error`` naming ``what`` and ``path``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _read_json(path, error: type[Exception], what: str = ""):
+    """The JSON document :func:`_read_text` reads; text that ``json`` rejects,
+    past its digit or nesting limit too, raises ``error``."""
+    text = _read_text(path, error, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_csv(path, label_column: str | None = None) -> LabeledDataset:
     """Parse a labeled CSV dataset.
 
@@ -128,10 +148,7 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
     UTF-8, or has a field over ``csv``'s limit is a ``ParseError`` too.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path, ParseError)
     rows = _split_plain(text)
     if rows is None:
         reader = csv.reader(text.splitlines())

@@ -37,11 +37,11 @@ _ENTRY_TOL = 1e-12
 # score runs on zero-padded _BLOCK-row blocks, its width rounded up to whole
 # _LANES (_for_blocks, _load, _whole_lanes, _pad_lanes).  A block buffer is
 # 1 MiB at D=1024, and a block runs at the GFLOP/s of a 256- or 512-row one.
-# As no row's bits depend on the others, the blocks of embed, score, AFF's
-# phases and the sigma grid's distances may run at once, in any order, on
-# the _WORKERS threads of _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient), AFF's
-# Gram tiles and loops too cheap to hand off run in block order on the
-# calling thread, so every result keeps its bits at any worker count.
+# As no row's bits depend on the others, the blocks of embed, score and the
+# sigma grid's distances may run at once, in any order, on the _WORKERS
+# threads of _for_blocks.  Sums over blocks (the sketch's Y, AFF's gradient),
+# all of AFF's kernel and loops too cheap to hand off run in block order on
+# the calling thread, so every result keeps its bits at any worker count.
 _BLOCK = 128
 _LANES = 8
 # The Nystrom factor's rank, a constant: a 96-square Cholesky factor and

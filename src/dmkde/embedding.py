@@ -226,13 +226,14 @@ class _GramKernel:
     ``grad_b`` sums ``G`` over rows.  ``C`` and the sines are tables of the
     rows zero-padded to whole blocks, with phases from :func:`_phase`, so
     ``C C^T`` and ``E C`` are GEMMs of ``_BLOCK``-row blocks by the block
-    rule of :mod:`dmkde.density`.  Those products and the gradient's sum
-    over blocks run in block order on the calling thread.
+    rule of :mod:`dmkde.density`.  The phases, those products and the
+    gradient's sum over blocks run in block order on the calling thread.
 
-    The tables are made once, for the rows and a width of ``embed_dim``,
-    and every call rewrites what it reads: the live rows and columns of
-    ``C`` and the sines, the Gram matrix, and both triangles of ``E``.
-    Their pads and ``E``'s diagonal are never written and stay zero.
+    The tables and phase buffers are made once, for the rows and a width of
+    ``embed_dim``, and every call rewrites what it reads: the phase buffers,
+    the live rows and columns of ``C`` and the sines, the Gram matrix, and
+    both triangles of ``E``.  The tables' pads and ``E``'s diagonal are
+    never written and stay zero.
     """
 
     def __init__(self, rows, targets, embed_dim, need_grad):
@@ -242,27 +243,25 @@ class _GramKernel:
         self.upper = np.triu_indices(rows.shape[0], 1)
         self.cos = np.zeros((padded, _whole_lanes(embed_dim)))
         self.gram = np.empty((padded, padded))
+        self.block = np.zeros((_BLOCK, rows.shape[1]))
+        self.spare = np.zeros((_BLOCK, self.cos.shape[1]))
         if need_grad:
             self.sin = np.zeros_like(self.cos)
             self.err = np.zeros_like(self.gram)
-            self.block = np.zeros((_BLOCK, rows.shape[1]))
 
     def __call__(self, weights, offsets):
         """``(loss, grad_w, grad_b)`` at ``weights`` and ``offsets``, with
         ``None`` for the gradients unless ``need_grad``."""
         rows, cos, gram = self.rows, self.cos, self.gram
-        count, input_dim = rows.shape
+        input_dim = rows.shape[1]
         embed_dim = weights.shape[0]
         weights_t = _pad_lanes(weights.T, 1)
-
-        def trig_block(start, block, spare):
-            phase = _phase(rows, start, block, spare, weights_t, offsets)
-            live = slice(start, start + phase.shape[0])
+        for tile in self.tiles:
+            phase = _phase(rows, tile.start, self.block, self.spare, weights_t, offsets)
+            live = slice(tile.start, tile.start + phase.shape[0])
             np.cos(phase, out=cos[live, :embed_dim])
             if self.need_grad:
                 np.sin(phase, out=self.sin[live, :embed_dim])
-
-        _for_blocks(count, trig_block, input_dim, weights_t.shape[1])
         for tile in self.tiles:
             np.matmul(cos[tile], cos.T, out=gram[tile])
         resid = (2.0 / embed_dim) * gram[self.upper] - self.targets

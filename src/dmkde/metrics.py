@@ -95,10 +95,9 @@ def spearman(a, b) -> float:
     The Pearson correlation of their average ranks, computed with the same
     operations as ``scipy.stats.spearmanr(a, b).statistic`` and equal to it
     bit for bit.  Like scipy, returns nan for fewer than two values, for a
-    constant input, and for an input containing nan.
+    constant input, and for an input containing nan, which ``_numbers`` lets pass.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _numbers(a, "a"), _numbers(b, "b")
     if a.ndim != 1 or a.shape != b.shape:
         raise InvalidArgumentError("spearman needs two 1-D sequences of equal length")
     data = np.column_stack((a, b))

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import _read_json
 from .density import _BLOCK, DensityFactor, DensityMatrix, _whole_lanes
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
@@ -201,14 +202,4 @@ def save_model(model: DetectorModel, path) -> None:
 
 
 def load_model(path) -> DetectorModel:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    del text  # the document holds every payload; the text would be a second copy
-    return model_from_document(doc)
+    return model_from_document(_read_json(Path(path), ParseError))

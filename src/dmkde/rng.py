@@ -25,7 +25,6 @@ from .errors import _count
 DOMAIN_RFF_WEIGHTS = 0
 DOMAIN_RFF_OFFSETS = 1
 DOMAIN_AFF_ROWS = 2
-DOMAIN_AFF_HOLDOUT = 3  # unused: AFF draws its held-out rows from DOMAIN_AFF_ROWS
 DOMAIN_SPLIT = 4
 DOMAIN_SYNTHETIC = 5
 DOMAIN_REFIT_SPLIT = 6

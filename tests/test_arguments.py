@@ -29,6 +29,7 @@ from dmkde import (
     kde_exact_batch,
     sample_rff_params,
 )
+from dmkde.metrics import spearman
 from dmkde.rng import stream
 
 _RNG = np.random.default_rng(0)
@@ -153,6 +154,8 @@ ARRAYS = {
         _PARAMS, _DM, 0.5, 0.1, shift=v, scale=[1.0, 1.0]).shift),
     "DetectorModel.scale": ([0.5, 1.0], lambda v: DetectorModel(
         _PARAMS, _DM, 0.5, 0.1, shift=[0.0, 0.0], scale=v).scale),
+    "spearman.a": ([0.5, 2.0, 1.5], lambda v: spearman(v, [1.0, 0.5, 2.0])),
+    "spearman.b": ([0.5, 2.0, 1.5], lambda v: spearman([1.0, 0.5, 2.0], v)),
 }
 
 

@@ -1,12 +1,12 @@
 """The block map: row blocks run on several threads, bit for bit as one.
 
-Embedding, scoring and AFF's cosine table run their row blocks through
-``density._for_blocks`` on ``density._WORKERS`` threads; sums over blocks
-run in block order on the calling thread.  Results must not depend on the
-worker count, errors must be the ones a serial loop raises, and helpers
-must call no public function.  Each call starts its own helper threads and
-joins them before it returns or raises, so none outlives the call, and a
-forked child inherits none.
+Embedding, scoring and the sigma grid's distances run their row blocks
+through ``density._for_blocks`` on ``density._WORKERS`` threads; sums over
+blocks and all of AFF's kernel run in block order on the calling thread.
+Results must not depend on the worker count, errors must be the ones a
+serial loop raises, and helpers must call no public function.  Each call
+starts its own helper threads and joins them before it returns or raises,
+so none outlives the call, and a forked child inherits none.
 """
 
 import contextlib
@@ -353,8 +353,7 @@ class TestProcesses:
         assert main(["generate", str(spec), "--out", str(data), "--seed", "4"]) == EXIT_OK
         config = tmp_path / "run.cfg"
         # 1,028 training rows at D = 2048 make a factor model: embedding them
-        # and sketching take 9 blocks each, AFF's cosine table of up to 2,100
-        # rows takes 17, and predict's first chunk 8.
+        # and sketching take 9 blocks each, and predict's first chunk 8.
         config.write_text("embed_dim = 2048\nuse_aff = true\naff_epochs = 2\n"
                           "aff_num_pairs = 2100\nseed = 2\n", encoding="utf-8")
         outputs = []

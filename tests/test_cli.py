@@ -509,15 +509,52 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: field larger than field limit") and "(row 3)" in err
 
-    @pytest.mark.parametrize("bad", ["data", "model"])
-    def test_file_not_utf8_is_parse_error(self, tmp_path, dataset_path, fitted, capsys, bad):
-        files = {"data": dataset_path, "model": fitted}
-        broken = tmp_path / f"latin1_{files[bad].name}"
-        broken.write_bytes(b"\xe9" + files[bad].read_bytes())
-        files[bad] = broken
-        assert main(["predict", str(files["data"]), "--model", str(files["model"]),
-                     "--out", str(tmp_path / "p.csv")]) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith(f"error: cannot read {broken}: 'utf-8' codec")
+
+
+class TestInputFileFaults:
+    """Every input file is read in one place.  A data or model file that
+    cannot be read, is not UTF-8 or is not JSON is a parse error, a config
+    or spec file a config error; either way stderr is one line naming it."""
+
+    # Input file -> exit code, and what the "cannot read" message calls it.
+    KINDS = {"data": (EXIT_PARSE, ""), "model": (EXIT_PARSE, ""),
+             "config": (EXIT_CONFIG, "config "), "spec": (EXIT_CONFIG, "spec ")}
+
+    @pytest.mark.parametrize("kind,fault", [
+        *[(kind, fault) for kind in KINDS for fault in ("missing", "directory", "not UTF-8")],
+        *[(kind, fault) for kind in ("model", "spec")
+          for fault in ("invalid JSON", "long number", "deep nesting")]])
+    def test_exit_code_and_one_error_line(self, tmp_path, spec_path, dataset_path, fitted,
+                                          capsys, kind, fault):
+        files = {"data": dataset_path, "model": fitted, "config": small_config(tmp_path),
+                 "spec": spec_path}
+        broken = tmp_path / f"broken_{files[kind].name}"
+        if fault == "directory":
+            broken.mkdir()
+        elif fault == "not UTF-8":
+            broken.write_bytes(b"\xe9" + files[kind].read_bytes())
+        elif fault == "invalid JSON":
+            broken.write_bytes(files[kind].read_bytes()[:-3])
+        elif fault == "long number":  # past the 4,300 digits Python parses
+            broken.write_text("[" + "1" * 5000 + "]", encoding="utf-8")
+        elif fault == "deep nesting":  # past the interpreter's recursion limit
+            broken.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        files[kind] = broken
+        data, model, config, spec = (str(files[k]) for k in ("data", "model", "config", "spec"))
+        predict = ["predict", data, "--model", model, "--out", str(tmp_path / "p.csv")]
+        argv = {"data": predict, "model": predict,
+                "config": ["fit", data, "--out", str(tmp_path / "m.json"), "--config", config],
+                "spec": ["generate", spec, "--out", str(tmp_path / "g.csv")]}[kind]
+        code, what = self.KINDS[kind]
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        expected = (f"error: cannot read {what}{broken}: "
+                    if fault in ("missing", "directory", "not UTF-8")
+                    else f"error: {broken}: invalid JSON: ")
+        assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n"), err
+        if fault == "not UTF-8":
+            assert err.startswith(f"{expected}'utf-8' codec can't decode byte 0xe9"), err
 
 
 def test_success_writes_nothing_to_stderr(tmp_path, dataset_path, capsys):

@@ -402,6 +402,26 @@ class TestPairKernel:
             assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
                        for a, b in zip(reused, new))
 
+    def test_second_call_makes_no_phase_buffers(self):
+        # Fixed before measuring.  What a call still makes: a few vectors of
+        # its 1,035 pairs (W^T needs no lane padding at D = 1536).  A
+        # (_BLOCK, D) phase buffer alone would be 1.5 MiB.
+        m, dim = 46, 1536
+        rows = np.random.default_rng(3).normal(size=(m, 8))
+        i, j = np.triu_indices(m, 1)
+        targets = gaussian_kernel(rows[i], rows[j], 1.0)
+        params = sample_rff_params(8, dim, 1.0, 3)
+        kernel = _GramKernel(rows, targets, dim, False)
+        first = kernel(params.weights, params.offsets)
+        tracemalloc.start()
+        try:
+            second = kernel(params.weights, params.offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < 0.5 * 2**20
+
 
 class TestPairLoss:
     @pytest.mark.parametrize("lhs, rhs, error, message", [

@@ -140,3 +140,12 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([[1.0, 2.0], [3.0]], [1.0, 2.0], "^a must be an array of numbers: "),
+        ([1.0, 2.0], [1.0, [2.0, 3.0]], "^b must be an array of numbers: "),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "^spearman needs two 1-D"),
+    ])
+    def test_ragged_or_not_1d_is_an_argument_error(self, a, b, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            spearman(a, b)
