@@ -118,6 +118,8 @@ def read_config(path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} given twice")
         values[key] = _parse_value(key, raw)
     return values
 

@@ -126,13 +126,27 @@ def _read_text(path, error: type[Exception], what: str = "") -> str:
 
 
 def _read_json(path, error: type[Exception], what: str = ""):
-    """The JSON document :func:`_read_text` reads; text that ``json`` rejects,
-    past its digit or nesting limit too, raises ``error``."""
-    text = _read_text(path, error, what)
+    """The JSON document :func:`_read_text` reads, under :func:`_json`'s rules."""
+    return _json(_read_text(path, error, what), path, error)
+
+
+def _json(text: str, path, error: type[Exception]):
+    """``text`` of the file ``path`` as JSON; text that ``json`` rejects, past
+    its digit or nesting limit too, or that repeats a key raises ``error``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"key {twice!r} given twice")
+    return obj
 
 
 def load_csv(path, label_column: str | None = None) -> LabeledDataset:

@@ -1,43 +1,52 @@
 """Versioned, bit-exact model file format.
 
-A model is one JSON document with a fixed field order:
+A model file (version 3) is one line of JSON, the header, then the arrays
+as raw little-endian float64 buffers, row-major, as in NumPy's ``.npy``
+(NEP 1).  The header's fields, in order:
 
     format, version, input_dim, embed_dim, sample_count, sigma, theta,
-    anomaly_rate, use_aff, shift, scale, weights, offsets, form,
-    sketch_bound, density
+    anomaly_rate, use_aff, form, sketch_bound, arrays
 
 Scalars are JSON numbers (Python's shortest-repr float round trip keeps
 them bit-exact; a rate-0 threshold serializes as the ``-Infinity``
-token).  Arrays are base64-encoded little-endian float64 buffers,
-row-major for matrices, which makes the round trip bit-exact by
-construction.  ``shift``/``scale`` are null when standardization is off.
+token).  ``arrays`` gives the dtype, shape and byte offset, counted from
+the end of the line, which spaces pad to whole 8-byte words, of
+``shift``, ``scale``, ``weights``, ``offsets`` and ``density``, which
+follow it in that order; ``shift``/``scale`` are null when
+standardization is off.
 
 ``form`` names what ``density`` holds: ``"dense"``, the upper triangle of
 the density matrix row by row (``D (D + 1) / 2`` values; the matrix is
 exactly symmetric, so mirroring restores it bit for bit), or
 ``"factor"``, the ``D x k`` Nystrom factor.  ``sketch_bound`` is the
 factor's density error bound, or that of the sketch a dense model was
-built instead of, or null.  Version 1 documents, which hold the full
-matrix and have neither field, still load.
+built instead of, or null.  Version 2 files, one JSON document with each
+array in a base64 field (:func:`model_to_document`), and version 1
+documents, the full matrix without ``form`` or ``sketch_bound``, still
+load.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from collections.abc import Iterator
+import math
+import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import _read_json
+from .dataio import _json, _read_json
 from .density import _BLOCK, DensityFactor, DensityMatrix, _whole_lanes
 from .detector import DetectorModel
 from .embedding import EmbeddingParams
 from .errors import ParseError
 
 FORMAT_NAME = "dmkde-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_DOCUMENT_VERSION = 2  # what model_to_document writes
+_ARRAYS = ("shift", "scale", "weights", "offsets", "density")  # in file order
 
 
 def _encode(arr: np.ndarray | None) -> str | None:
@@ -76,61 +85,23 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
-def _density_pieces(dm: DensityMatrix | DensityFactor) -> Iterator[bytes]:
-    """Base64 of a serving form's payload, in pieces that concatenate to it.
-
-    The payload goes ``_BLOCK`` rows at a time: the factor's rows, or the
-    triangle's, row ``i`` being ``R[i, i:]`` as :func:`_decode_density`
-    reads it.  Each piece but the last encodes a whole number of 3-byte
-    groups, with the fewer than 3 values left over carried into the next,
-    so no piece is padded and the pieces are the base64 of the whole.
-    """
-    dim = dm.embed_dim
-    carry = np.empty(0)
-    for start in range(0, dim, _BLOCK):
-        stop = min(start + _BLOCK, dim)
-        rows = ([dm.factor[start:stop].ravel()] if isinstance(dm, DensityFactor)
-                else [dm.matrix[i, i:] for i in range(start, stop)])
-        values = np.concatenate([carry, *rows], dtype="<f8")
-        whole = values.size - values.size % 3
-        carry = values[whole:].copy()
-        yield base64.b64encode(values[:whole])
-    yield base64.b64encode(carry)
+def _arrays(model: DetectorModel) -> dict:
+    """Each array's shape and the buffers whose values it holds in order, or
+    None: the factor, or the triangle's rows, row ``i`` being ``R[i, i:]``."""
+    arrays = {name: None if value is None else (list(value.shape), [value]) for name, value in (
+        ("shift", model.shift), ("scale", model.scale), ("weights", model.embedding.weights),
+        ("offsets", model.embedding.offsets), ("density", getattr(model.dm, "factor", None)))}
+    if isinstance(model.dm, DensityMatrix):
+        dim = model.dm.embed_dim
+        arrays["density"] = ([dim * (dim + 1) // 2], [model.dm.matrix[i, i:] for i in range(dim)])
+    return arrays
 
 
-def _decode_density(doc: dict, version: int, embed_dim: int, n: int):
-    """The serving form a document's ``density`` payload holds."""
-    text = _field(doc, "density", str)
-    if version == 1:
-        return DensityMatrix(_decode(text, (embed_dim, embed_dim)), n)
-    form = _field(doc, "form", str)
-    if form == "factor":
-        values = _decode(text, None)
-        if values.size == 0 or values.size % embed_dim:
-            raise ParseError(f"factor payload has {values.size} values, "
-                             f"not a positive multiple of embed_dim {embed_dim}")
-        return DensityFactor(values.reshape(embed_dim, -1), n)
-    if form != "dense":
-        raise ParseError(f"unknown density form {form!r}")
-    values = _decode(text, (embed_dim * (embed_dim + 1) // 2,))
-    # Row by row (row i of the triangle is R[i, i:]), without a D x D mask,
-    # into a lane-padded buffer that DensityMatrix keeps as its own.
-    width = _whole_lanes(embed_dim)
-    matrix = np.zeros((width, width))[:embed_dim, :embed_dim]
-    start = 0
-    for i in range(embed_dim):
-        row = values[start:start + embed_dim - i]
-        matrix[i, i:] = row
-        matrix[i:, i] = row
-        start += embed_dim - i
-    return DensityMatrix(matrix, n)
-
-
-def _document(model: DetectorModel, density: str) -> dict:
-    """The model's document, with ``density`` as its last field's text."""
+def _document(model: DetectorModel, fields: dict) -> dict:
+    """The model's version 2 document, ``fields`` giving each array's field."""
     return {
         "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
+        "version": _DOCUMENT_VERSION,
         "input_dim": model.embedding.input_dim,
         "embed_dim": model.embedding.embed_dim,
         "sample_count": model.dm.sample_count,
@@ -138,49 +109,45 @@ def _document(model: DetectorModel, density: str) -> dict:
         "theta": model.theta,
         "anomaly_rate": model.anomaly_rate,
         "use_aff": bool(model.use_aff),
-        "shift": _encode(model.shift),
-        "scale": _encode(model.scale),
-        "weights": _encode(model.embedding.weights),
-        "offsets": _encode(model.embedding.offsets),
+        "shift": fields["shift"],
+        "scale": fields["scale"],
+        "weights": fields["weights"],
+        "offsets": fields["offsets"],
         "form": "factor" if isinstance(model.dm, DensityFactor) else "dense",
         "sketch_bound": model.sketch_bound,
-        "density": density,
+        "density": fields["density"],
     }
 
 
 def model_to_document(model: DetectorModel) -> dict:
-    return _document(model, b"".join(_density_pieces(model.dm)).decode("ascii"))
+    return _document(model, {
+        name: None if array is None else _encode(np.concatenate([b.ravel() for b in array[1]]))
+        for name, array in _arrays(model).items()})
 
 
-def model_from_document(doc: dict) -> DetectorModel:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ParseError(f"not a {FORMAT_NAME} document")
+def _model(doc: dict, versions: tuple[int, ...], read) -> DetectorModel:
+    """The model whose fields ``doc`` holds, of one of ``versions``: its scalar
+    fields are checked first, then ``read(version, form, input_dim, embed_dim)``
+    gives the five arrays by name, a dense density as the full matrix."""
     try:
-        version = _field(doc, "version", int)
-        if version not in (1, FORMAT_VERSION):
+        version, d, embed_dim, n = (_field(doc, key, int) for key in (
+            "version", "input_dim", "embed_dim", "sample_count"))
+        if version not in versions:
             raise ParseError(f"unsupported model version {version!r}")
-        d = _field(doc, "input_dim", int)
-        embed_dim = _field(doc, "embed_dim", int)
-        n = _field(doc, "sample_count", int)
-        embedding = EmbeddingParams(
-            weights=_decode(doc["weights"], (embed_dim, d)),
-            offsets=_decode(doc["offsets"], (embed_dim,)),
-            sigma=_field(doc, "sigma", float),
-            input_dim=d,
-            embed_dim=embed_dim,
-        )
+        sigma, theta, rate = (_field(doc, key, float) for key in ("sigma", "theta", "anomaly_rate"))
+        use_aff = _field(doc, "use_aff", bool)
+        form = "dense" if version == 1 else _field(doc, "form", str)
+        if form not in ("dense", "factor"):
+            raise ParseError(f"unknown density form {form!r}")
         bound = None if version == 1 or doc["sketch_bound"] is None else _field(
             doc, "sketch_bound", float)
+        arrays = read(version, form, d, embed_dim)
         return DetectorModel(
-            embedding=embedding,
-            dm=_decode_density(doc, version, embed_dim, n),
-            theta=_field(doc, "theta", float),
-            anomaly_rate=_field(doc, "anomaly_rate", float),
-            use_aff=_field(doc, "use_aff", bool),
-            shift=_decode(doc["shift"], (d,)),
-            scale=_decode(doc["scale"], (d,)),
-            sketch_bound=bound,
-        )
+            embedding=EmbeddingParams(weights=arrays["weights"], offsets=arrays["offsets"],
+                                      sigma=sigma, input_dim=d, embed_dim=embed_dim),
+            dm=(DensityFactor if form == "factor" else DensityMatrix)(arrays["density"], n),
+            theta=theta, anomaly_rate=rate, use_aff=use_aff, shift=arrays["shift"],
+            scale=arrays["scale"], sketch_bound=bound)
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -189,17 +156,119 @@ def model_from_document(doc: dict) -> DetectorModel:
         raise ParseError(f"model document is invalid: {exc}") from exc
 
 
+def _document_arrays(doc: dict, version: int, form: str, d: int, embed_dim: int) -> dict:
+    """The arrays a version 1 or 2 document's base64 fields encode."""
+    arrays = {name: _decode(doc[name], shape) for name, shape in (
+        ("shift", (d,)), ("scale", (d,)), ("weights", (embed_dim, d)), ("offsets", (embed_dim,)))}
+    text = _field(doc, "density", str)
+    if version == 1:
+        arrays["density"] = _decode(text, (embed_dim, embed_dim))
+    elif form == "factor":  # D x k, any k: reshape and DensityFactor check it
+        arrays["density"] = _decode(text, None).reshape(embed_dim, -1)
+    else:
+        rows = iter(np.split(_decode(text, (embed_dim * (embed_dim + 1) // 2,)),
+                             np.cumsum(np.arange(embed_dim, 1, -1))))
+        arrays["density"] = _triangle(embed_dim, lambda row: np.copyto(row, next(rows)))
+    return arrays
+
+
+def model_from_document(doc: dict) -> DetectorModel:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        raise ParseError(f"not a {FORMAT_NAME} document")
+    return _model(doc, (1, _DOCUMENT_VERSION), partial(_document_arrays, doc))
+
+
 def save_model(model: DetectorModel, path) -> None:
-    """Write ``json.dumps(model_to_document(model))`` and a newline to
-    ``path``, with the density payload streamed piece by piece: base64
-    needs no JSON escape, so the file is that text byte for byte, and no
-    whole copy of the payload is held."""
-    head = json.dumps(_document(model, "")).encode("ascii")
+    """Write the version 3 file: the header line, then each array's buffers
+    as they lie in memory, the triangle a row at a time, so no copy is held."""
+    arrays = _arrays(model)
+    table, offset = {}, 0
+    for name, array in arrays.items():
+        table[name] = None if array is None else {"dtype": "<f8", "shape": array[0],
+                                                  "offset": offset}
+        offset += 0 if array is None else 8 * math.prod(array[0])
+    fields = {key: value for key, value in _document(model, dict.fromkeys(_ARRAYS)).items()
+              if key not in _ARRAYS}
+    text = json.dumps(fields | {"version": FORMAT_VERSION, "arrays": table})
     with open(path, "wb") as out:
-        out.write(head[:-len(b'"}')])  # up to the payload's opening quote
-        out.writelines(_density_pieces(model.dm))  # drops each piece once written
-        out.write(b'"}\n')
+        out.write(text.ljust(-(-(len(text) + 1) // 8) * 8 - 1).encode("ascii") + b"\n")
+        for array in filter(None, arrays.values()):
+            out.writelines(np.ascontiguousarray(buf, dtype="<f8") for buf in array[1])
+
+
+def _triangle(dim: int, fill) -> np.ndarray:
+    """The symmetric matrix whose upper triangle ``fill(row)`` writes, row ``i``
+    being ``R[i, i:]``, mirrored a ``_BLOCK``-square tile at a time: the top-left
+    view of a zeroed lane-padded buffer, which ``DensityMatrix`` adopts."""
+    matrix = np.zeros((_whole_lanes(dim),) * 2, dtype="<f8")[:dim, :dim]
+    for i in range(dim):
+        fill(matrix[i, i:])
+    below = np.tri(_BLOCK, k=-1, dtype=bool)
+    for i in range(0, dim, _BLOCK):
+        tile = matrix[i:i + _BLOCK, i:i + _BLOCK]
+        np.copyto(tile, tile.T, where=below[:tile.shape[0], :tile.shape[0]])
+        for j in range(i + _BLOCK, dim, _BLOCK):
+            matrix[j:j + _BLOCK, i:i + _BLOCK] = matrix[i:i + _BLOCK, j:j + _BLOCK].T
+    return matrix
+
+
+def _read(file, path: Path, buf: np.ndarray) -> np.ndarray:
+    """``buf``, filled from ``file`` with ``readinto``."""
+    if file.readinto(buf) != buf.nbytes:
+        raise ParseError(f"{path}: the file ended inside an array")
+    return buf
+
+
+def _rank(entry) -> int:
+    """``k`` of a factor's array entry of shape ``[D, k]``, or 0 for none."""
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    return shape[1] if isinstance(shape, list) and len(shape) == 2 and type(shape[1]) is int else 0
+
+
+def _file_arrays(file, path: Path, start: int, size: int, doc: dict,
+                 version: int, form: str, d: int, embed_dim: int) -> dict:
+    """The arrays of a version 3 file of ``size`` bytes, whose header ``doc`` ends
+    at byte ``start``.  Before any read, each array's entry must give its shape
+    for ``input_dim`` and ``embed_dim`` and the offset where the one before it
+    ends, and the last must end the file."""
+    table = _field(doc, "arrays", dict)
+    if list(table) != list(_ARRAYS):
+        raise ParseError(f"{path}: the array table must name {', '.join(_ARRAYS)}, in order")
+    shapes = {"shift": [d], "scale": [d], "weights": [embed_dim, d], "offsets": [embed_dim],
+              "density": [embed_dim * (embed_dim + 1) // 2] if form == "dense"
+              else [embed_dim, _rank(table["density"])]}
+    end = 0
+    for name, entry in table.items():
+        want = {"dtype": "<f8", "shape": shapes[name], "offset": end}
+        if entry != want and not (entry is None and name in ("shift", "scale")):
+            raise ParseError(f"{path}: array {name!r} is {json.dumps(entry)}, "
+                             f"expected {json.dumps(want)}")
+        end += 8 * math.prod(shapes[name]) if entry else 0
+    if end != size - start:
+        raise ParseError(f"{path}: {size - start} bytes follow the header, "
+                         f"whose arrays end at offset {end}")
+    arrays = dict.fromkeys(_ARRAYS)
+    for name in filter(table.get, _ARRAYS):  # in file order, from the end of the header
+        arrays[name] = (_triangle(embed_dim, partial(_read, file, path))
+                        if name == "density" and form == "dense"
+                        else _read(file, path, np.empty(shapes[name], dtype="<f8")))
+    return arrays
 
 
 def load_model(path) -> DetectorModel:
-    return model_from_document(_read_json(Path(path), ParseError))
+    """The model in ``path``, whose first line is JSON, read under the rules
+    and messages of :func:`dmkde.dataio._read_json`: a version 3 header, or
+    a whole version 1 or 2 document, as every save wrote one."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as file:
+            size = os.fstat(file.fileno()).st_size
+            line = file.readline()
+            head = _json(line.decode("utf-8"), path, ParseError)
+            if (isinstance(head, dict) and head.get("format") == FORMAT_NAME
+                    and head.get("version") == FORMAT_VERSION):
+                return _model(head, (FORMAT_VERSION,),
+                              partial(_file_arrays, file, path, len(line), size, head))
+    except (OSError, UnicodeDecodeError) as exc:  # as dataio._read_text words it
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return model_from_document(head if len(line) == size else _read_json(path, ParseError))

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -52,3 +53,18 @@ def standardizer_fits(monkeypatch):
         if name.split(".")[0] == "dmkde" and bound is fit_standardizer:
             monkeypatch.setattr(module, "fit_standardizer", counted)
     return calls
+
+
+def model_header(path) -> dict:
+    """The header of a version 3 model file: its first line, as JSON."""
+    with open(path, "rb") as file:
+        return json.loads(file.readline())
+
+
+def with_header(path, out, **fields) -> None:
+    """Write ``out``: the version 3 model file ``path`` with the header fields
+    ``fields`` replaced, the line padded to whole 8-byte words again."""
+    data = Path(path).read_bytes()
+    end = data.index(b"\n")
+    text = json.dumps(json.loads(data[:end]) | fields).encode("ascii")
+    Path(out).write_bytes(text.ljust(-(-(len(text) + 1) // 8) * 8 - 1) + data[end:])

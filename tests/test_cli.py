@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from dmkde.cli import (
 from dmkde.errors import InvalidArgumentError
 from dmkde.modelio import model_to_document
 from dmkde.rng import stream
+from tests.conftest import model_header, with_header
 
 SPEC_DOC = {
     "name": "two_cluster",
@@ -57,8 +57,12 @@ def dataset_path(tmp_path, spec_path):
 
 
 def small_config(tmp_path, extra=""):
+    """A config of ``embed_dim = 64`` and ``seed = 1``, then the lines of
+    ``extra``, which override those two keys: a key is given once."""
+    given = {line.split("=")[0].strip() for line in extra.splitlines()}
     path = tmp_path / "run.cfg"
-    path.write_text("embed_dim = 64\nseed = 1\n" + extra, encoding="utf-8")
+    path.write_text("".join(f"{key} = {value}\n" for key, value in (("embed_dim", 64), ("seed", 1))
+                            if key not in given) + extra, encoding="utf-8")
     return path
 
 
@@ -232,8 +236,8 @@ class TestFit:
             model_path = tmp_path / f"model_{tag}.json"
             assert main(["fit", str(dataset_path), "--out", str(model_path),
                          "--config", str(cfg)] + flags) == EXIT_OK
-            doc = json.loads(model_path.read_text())
-            assert doc["shift"] is None and doc["scale"] is None
+            arrays = model_header(model_path)["arrays"]
+            assert arrays["shift"] is None and arrays["scale"] is None
             report = json.loads(model_path.with_suffix(".report.json").read_text())
             assert report["config"]["standardize"] is False
             models[tag] = model_path.read_bytes()
@@ -324,35 +328,56 @@ class TestFit:
         assert main(["generate", str(tmp_path / "spec.json"), "--out", data]) == EXIT_OK
         config = small_config(tmp_path).read_text().replace("embed_dim = 64", f"embed_dim = {dim}")
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
-        baseline = peak_rss(["-c", "import sys, dmkde.cli; dmkde.cli.load_csv(sys.argv[1])", data],
-                            tmp_path)
+        baseline = peak_rss(["-c", "import sys, dmkde.cli; dmkde.cli.load_csv(sys.argv[1])", data])
         fitted = peak_rss(["-m", "dmkde.cli", "fit", data, "--out", str(model),
-                           "--config", str(tmp_path / "run.cfg")], tmp_path)
-        doc = json.loads(model.read_text(encoding="utf-8"))
+                           "--config", str(tmp_path / "run.cfg")])
+        doc = model_header(model)
         assert doc["form"] == "dense"
         phi, r = 8 * doc["sample_count"] * dim, 8 * dim * dim
         assert fitted < baseline + 1.5 * (phi + r)
 
 
-def peak_rss(args: list[str], tmp_path) -> int:
+def test_load_peak_rss_is_r_above_the_baseline(tmp_path):
+    # Fixed before measuring: a load holds R's lane-padded buffer over what a
+    # process that imports the CLI holds, and the header, the small arrays
+    # and 128-square tiles besides, so its peak stays below that baseline
+    # plus 1.25 R.
+    dim = 2048
+    phis = stream(4, 99).normal(size=(300, dim))
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    model = dmkde.DetectorModel(dmkde.sample_rff_params(8, dim, 1.0, 4),
+                                dmkde.build_density_matrix(phis), 0.1, 0.05, False)
+    del phis
+    path = tmp_path / "model.json"
+    dmkde.save_model(model, path)
+    del model
+    assert model_header(path)["form"] == "dense"
+    baseline = peak_rss(["-c", "import dmkde.cli"])
+    loaded = peak_rss(["-c", "import sys, dmkde.cli; dmkde.cli.load_model(sys.argv[1])",
+                       str(path)])
+    assert loaded < baseline + 1.25 * 8 * dim * dim
+
+
+# The child runs under a small interpreter that reports the child's peak:
+# Linux counts in a child's ru_maxrss the peak resident size of the process
+# that started it, and for a child of this one that is the test process.
+_REPORT_PEAK = ("import resource, subprocess, sys\n"
+                "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, timeout=120)"
+                ".returncode\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+                "sys.exit(code)\n")
+
+
+def peak_rss(args: list[str]) -> int:
     """Peak resident bytes (ru_maxrss) of ``python args``, run with this
     package on its path; the child must exit 0 within two minutes."""
     src = str(Path(dmkde.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    with open(tmp_path / "child.err", "w+b") as err:
-        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL,
-                                stderr=err)
-        watchdog = threading.Timer(120, proc.kill)
-        watchdog.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
-        finally:
-            watchdog.cancel()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        assert proc.returncode == 0, err.read().decode(errors="replace")
-    return usage.ru_maxrss * 1024  # KiB on Linux
+    proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK, sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024  # KiB on Linux
 
 
 @pytest.fixture()
@@ -384,10 +409,8 @@ class TestEval:
                      "--out", str(tmp_path / "p.csv")]) == EXIT_RUNTIME
 
     def test_malformed_model_field_is_parse_error(self, tmp_path, dataset_path, fitted):
-        doc = json.loads(fitted.read_text(encoding="utf-8"))
-        doc["sigma"] = None
         bad = tmp_path / "bad_model.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with_header(fitted, bad, sigma=None)
         assert main(["eval", str(dataset_path), "--model", str(bad),
                      "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
 
@@ -402,11 +425,9 @@ class TestEval:
     @pytest.mark.parametrize("bound", ["-1.0", "-Infinity", "NaN"])
     def test_impossible_sketch_bound_is_parse_error(self, tmp_path, dataset_path, fitted,
                                                     bound):
-        text = fitted.read_text(encoding="utf-8")
         bad = tmp_path / "bad_bound.json"
-        bad.write_text(text.replace('"sketch_bound": null', f'"sketch_bound": {bound}'),
-                       encoding="utf-8")
-        assert bad.read_text(encoding="utf-8") != text
+        with_header(fitted, bad, sketch_bound=float(bound))
+        assert model_header(bad)["sketch_bound"] != model_header(fitted)["sketch_bound"]
         assert main(["eval", str(dataset_path), "--model", str(bad),
                      "--report", str(tmp_path / "r.json")]) == EXIT_PARSE
 
@@ -533,8 +554,10 @@ class TestInputFileFaults:
             broken.mkdir()
         elif fault == "not UTF-8":
             broken.write_bytes(b"\xe9" + files[kind].read_bytes())
-        elif fault == "invalid JSON":
-            broken.write_bytes(files[kind].read_bytes()[:-3])
+        elif fault == "invalid JSON":  # the JSON text, a model's first line, cut short
+            data = files[kind].read_bytes()
+            end = len(data.split(b"\n", 1)[0].rstrip())
+            broken.write_bytes(data[:end - 3] + data[end:])
         elif fault == "long number":  # past the 4,300 digits Python parses
             broken.write_text("[" + "1" * 5000 + "]", encoding="utf-8")
         elif fault == "deep nesting":  # past the interpreter's recursion limit
@@ -555,6 +578,79 @@ class TestInputFileFaults:
         assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n"), err
         if fault == "not UTF-8":
             assert err.startswith(f"{expected}'utf-8' codec can't decode byte 0xe9"), err
+
+    # Each fault of a version 3 file -> what its one error line says.
+    V3_FAULTS = {
+        "cut after the header": "0 bytes follow the header, whose arrays end at offset",
+        "cut mid-payload": "bytes follow the header, whose arrays end at offset",
+        "extra trailing byte": "bytes follow the header, whose arrays end at offset",
+        "offset past the end": "array 'density' is {",
+        "misaligned offset": "array 'density' is {",
+        "overlapping arrays": "array 'offsets' is {",
+        "shape against embed_dim": "array 'weights' is {",
+        "first byte 0xE9": "'utf-8' codec can't decode byte 0xe9 in position 0",
+    }
+
+    @pytest.mark.parametrize("fault", V3_FAULTS)
+    def test_v3_model_fault_is_one_error_line(self, tmp_path, dataset_path, fitted, capsys,
+                                               fault):
+        data, head = fitted.read_bytes(), model_header(fitted)
+        start, arrays = data.index(b"\n") + 1, head["arrays"]
+        broken = tmp_path / "broken_model.json"
+        if fault == "cut after the header":
+            broken.write_bytes(data[:start])
+        elif fault == "cut mid-payload":
+            broken.write_bytes(data[:(start + len(data)) // 2])
+        elif fault == "extra trailing byte":
+            broken.write_bytes(data + b"\0")
+        elif fault == "first byte 0xE9":
+            broken.write_bytes(b"\xe9" + data[1:])
+        else:
+            if fault == "offset past the end":
+                arrays["density"]["offset"] = len(data) - start
+            elif fault == "misaligned offset":
+                arrays["density"]["offset"] += 4
+            elif fault == "overlapping arrays":
+                arrays["offsets"]["offset"] = arrays["weights"]["offset"] + 8
+            else:
+                arrays["weights"]["shape"][0] += 1
+            with_header(fitted, broken, arrays=arrays)
+        capsys.readouterr()
+        assert main(["predict", str(dataset_path), "--model", str(broken),
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert str(broken) in err and self.V3_FAULTS[fault] in err, err
+
+    # A key given twice in each kind of file that holds keys: config, spec,
+    # a version 2 model document and a version 3 model header.
+    @pytest.mark.parametrize("kind", ["config", "spec", "model document", "model header"])
+    def test_repeated_key_is_one_error_line(self, tmp_path, spec_path, dataset_path, fitted,
+                                            capsys, kind):
+        broken = tmp_path / f"twice.{kind.split()[-1]}"
+        if kind == "config":
+            broken.write_text("embed_dim = 64\nembed_dim = 32\n", encoding="utf-8")
+            argv, code = ["fit", str(dataset_path), "--out", str(tmp_path / "m.json"),
+                          "--config", str(broken)], EXIT_CONFIG
+            expected = f"error: {broken}:2: key 'embed_dim' given twice\n"
+        elif kind == "spec":
+            broken.write_text('{"name": "a", ' + spec_path.read_text(encoding="utf-8")[1:],
+                              encoding="utf-8")
+            argv, code = ["generate", str(broken), "--out", str(tmp_path / "g.csv")], EXIT_CONFIG
+            expected = f"error: {broken}: invalid JSON: key 'name' given twice"
+        else:
+            # "theta" becomes a second "sigma", a key of the same length.
+            data = (fitted.read_bytes() if kind == "model header" else
+                    json.dumps(model_to_document(load_model(fitted))).encode("ascii"))
+            assert data.count(b'"theta":') == 1
+            broken.write_bytes(data.replace(b'"theta":', b'"sigma":'))
+            argv, code = ["predict", str(dataset_path), "--model", str(broken),
+                          "--out", str(tmp_path / "p.csv")], EXIT_PARSE
+            expected = f"error: {broken}: invalid JSON: key 'sigma' given twice"
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and err.count("\n") == 1, err
 
 
 def test_success_writes_nothing_to_stderr(tmp_path, dataset_path, capsys):

@@ -11,6 +11,7 @@ from dmkde.density import DensityFactor
 from dmkde.detector import DetectorModel
 from dmkde.modelio import _encode, model_from_document, model_to_document
 from dmkde.rng import stream
+from tests.conftest import model_header
 
 
 def make_model(seed=0, rate=0.1, standardize=True):
@@ -119,6 +120,29 @@ class TestFormats:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * dim * dim
+        assert np.array_equal(back.dm.matrix, dm.matrix)
+
+    @pytest.mark.parametrize("dim", [1020, 1024])
+    def test_v3_dense_load_holds_r_alone(self, tmp_path, dim):
+        # A version 3 load reads the triangle's rows straight into R's
+        # lane-padded W x W buffer and mirrors it by 128-square tiles; the
+        # header, the small arrays and a tile or two are all it holds besides.
+        phis = stream(4, 99).normal(size=(300, dim))
+        phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+        dm = build_density_matrix(phis)
+        del phis
+        model = DetectorModel(sample_rff_params(8, dim, 1.0, 4), dm, 0.1, 0.05, False,
+                              None, None, None)
+        save_model(model, tmp_path / "model.json")
+        assert model_header(tmp_path / "model.json")["version"] == 3
+        width = -(-dim // 8) * 8
+        tracemalloc.start()
+        try:
+            back = load_model(tmp_path / "model.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * width * width
         assert np.array_equal(back.dm.matrix, dm.matrix)
 
     def test_dense_save_holds_no_copy_of_r(self, tmp_path):
@@ -294,18 +318,33 @@ class TestFiles:
         with pytest.raises(ParseError):
             load_model(tmp_path / "missing.json")
 
-    def test_file_is_single_json_document(self, tmp_path):
+    def test_first_line_is_the_json_header(self, tmp_path):
         model = make_model(seed=6)
         path = tmp_path / "model.json"
         save_model(model, path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = model_header(path)
         assert doc["format"] == "dmkde-model"
-        assert doc["version"] == 2
+        assert doc["version"] == 3
+        assert list(doc) == [
+            "format", "version", "input_dim", "embed_dim", "sample_count",
+            "sigma", "theta", "anomaly_rate", "use_aff", "form", "sketch_bound", "arrays",
+        ]
+        assert list(doc["arrays"]) == ["shift", "scale", "weights", "offsets", "density"]
 
-    # Triangles of 1 to 3 values end on each remainder mod 3 of a base64
-    # group; 130 and 300 rows span two and three pieces.
+    def test_version_2_file_loads_bit_exact(self, tmp_path):
+        # As version 2 saves wrote it: the document on one line.
+        model = make_model(seed=7)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_document(model)) + "\n", encoding="utf-8")
+        back = load_model(path)
+        assert np.array_equal(back.dm.matrix, model.dm.matrix)
+        assert np.array_equal(back.embedding.weights, model.embedding.weights)
+        assert back.theta == model.theta
+
+    # 1 to 3 rows, a D that is not a whole number of lanes, and 130 and
+    # 300 rows that span two and three 128-square tiles of the mirror.
     @pytest.mark.parametrize("dim", [1, 2, 3, 37, 130, 300])
-    def test_streamed_file_is_the_document_text(self, tmp_path, dim):
+    def test_streamed_file_holds_the_document_arrays(self, tmp_path, dim):
         phis = stream(dim, 99).normal(size=(dim + 5, dim))
         phis /= np.linalg.norm(phis, axis=1, keepdims=True)
         model = DetectorModel(sample_rff_params(3, dim, 1.0, 1), build_density_matrix(phis),
@@ -313,13 +352,29 @@ class TestFiles:
         triangle = np.concatenate([model.dm.matrix[i, i:] for i in range(dim)])
         self.check_streamed(tmp_path, model, _encode(triangle))
 
-    def test_streamed_factor_file_is_the_document_text(self, tmp_path):
+    def test_streamed_factor_file_holds_the_document_arrays(self, tmp_path):
         model = make_factor_model(embed_dim=300)
         self.check_streamed(tmp_path, model, _encode(model.dm.factor))
 
     @staticmethod
     def check_streamed(tmp_path, model, payload):
+        """The file is its header line, spaces to a whole number of 8-byte
+        words, then the version 2 document's arrays raw and back to back,
+        each at the offset from the end of the line that the header gives."""
         doc = model_to_document(model)
         assert doc["density"] == payload
         save_model(model, tmp_path / "model.json")
-        assert (tmp_path / "model.json").read_bytes() == (json.dumps(doc) + "\n").encode()
+        data = (tmp_path / "model.json").read_bytes()
+        head = model_header(tmp_path / "model.json")
+        start = data.index(b"\n") + 1
+        assert start % 8 == 0 and data[:start].decode("ascii").rstrip(" \n") == json.dumps(head)
+        raw = b""
+        for name, entry in head["arrays"].items():
+            assert (entry is None) == (doc[name] is None)
+            if entry is not None:
+                assert entry["dtype"] == "<f8" and entry["offset"] == len(raw)
+                raw += base64.b64decode(doc[name])
+                assert 8 * np.prod(entry["shape"]) == len(raw) - entry["offset"]
+        assert data[start:] == raw
+        assert {key: value for key, value in doc.items() if key not in head["arrays"]} == {
+            key: value for key, value in head.items() if key != "arrays"} | {"version": 2}
